@@ -10,17 +10,27 @@ MOR and MAND outputs are currents; the engine converts them to node
 voltages through the proportionality constant ``b`` (V = I * b), chosen so
 that a fully saturated device driven at logic-1 reproduces logic-1 at the
 next input.  MNOT outputs are voltages already and pass through unchanged.
+
+:func:`simulate` compiles the run once: every input terminal is sampled
+into a column, and each gate's constants, including its four
+``exp(-dt/tau)`` factors, are taken out of the step loop.  The netlist is
+acyclic, so at step k a gate depends only on its drivers at step k and on
+its own state; the engine therefore runs one gate at a time through every
+step, in topological order, reading its drivers' finished columns.  Each
+value comes from the same float operations, in the same order, as
+stepping the :class:`~memlogic.gates.GateInstance` objects would give.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 from dataclasses import dataclass
 
-from .device import DeviceParams, model_current
-from .gates import GateInstance, GateKind
+# ``model_current`` stays importable from this module for callers that look it up here.
+from .device import DeviceParams, MemristorState, model_current  # noqa: F401
+from .gates import R_OFF_CAP, GateInstance, GateKind, mand_effective_voltage, mor_effective_voltage
 from .netlist import CircuitGraph, CoverageError, Stimulus, UnknownTerminalError, topological_order
 
 AMBIGUOUS = "ambiguous"
@@ -102,29 +112,33 @@ class Trace:
     def voltage_at(self, net: str, t_ms: float) -> float:
         return self.column(net)[self.index_at(t_ms)]
 
-    def csv_columns(self) -> list[str]:
-        cols = ["t_ms"]
-        cols += list(self.input_names)
-        cols += list(self.probes)
-        cols += [f"g{i}" for i in self.gate_ids]
+    def series(self) -> list[tuple[str, list[float]]]:
+        """Every CSV column as a (name, series) pair, in CSV order."""
+        cols = [("t_ms", self.times)]
+        cols += [(name, self.voltages[name]) for name in self.input_names]
+        cols += [(name, self.voltages[f"g{i}"]) for name, i in self.probes.items()]
+        cols += [(f"g{i}", self.voltages[f"g{i}"]) for i in self.gate_ids]
         for i in self.gate_ids:
-            cols += [f"g{i}_I", f"g{i}_x1", f"g{i}_x2"]
+            cols += [(f"g{i}_I", self.currents[i]), (f"g{i}_x1", self.x1[i]), (f"g{i}_x2", self.x2[i])]
         return cols
+
+    def csv_columns(self) -> list[str]:
+        return [name for name, _ in self.series()]
+
+    def csv_lines(self):
+        """Yield the CSV text line by line: the header, then one line per record.
+
+        Values are in 9-significant-digit scientific notation; ``"%.8e"``
+        renders a float exactly as ``f"{v:.8e}"`` does.
+        """
+        series = self.series()
+        yield ",".join(name for name, _ in series) + "\n"
+        row_format = ",".join(["%.8e"] * len(series)) + "\n"
+        yield from map(row_format.__mod__, zip(*(values for _, values in series)))
 
     def to_csv(self) -> str:
         """Render the trace as CSV, values in 9-significant-digit scientific notation."""
-        out = io.StringIO()
-        out.write(",".join(self.csv_columns()) + "\n")
-        probe_ids = list(self.probes.values())
-        for k, t in enumerate(self.times):
-            row = [f"{t:.8e}"]
-            row += [f"{self.voltages[name][k]:.8e}" for name in self.input_names]
-            row += [f"{self.voltages[f'g{i}'][k]:.8e}" for i in probe_ids]
-            row += [f"{self.voltages[f'g{i}'][k]:.8e}" for i in self.gate_ids]
-            for i in self.gate_ids:
-                row += [f"{self.currents[i][k]:.8e}", f"{self.x1[i][k]:.8e}", f"{self.x2[i][k]:.8e}"]
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
+        return "".join(self.csv_lines())
 
     def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
         """JSON-serializable sidecar: config echo, column list, fixture hashes."""
@@ -153,6 +167,89 @@ def build_gates(graph: CircuitGraph, params: DeviceParams | None = None) -> dict
     return {node.id: GateInstance(kind=node.kind, params=params) for node in graph.nodes}
 
 
+def _check_gates(graph: CircuitGraph, gates: dict[int, GateInstance]) -> None:
+    """Reject a ``gates`` dict that does not give each netlist gate its own instance of its kind."""
+    seen: dict[int, int] = {}
+    for node in graph.nodes:
+        gate = gates.get(node.id)
+        if gate is None:
+            raise ValueError(f"gates has no instance for gate {node.id}")
+        if gate.kind is not node.kind:
+            raise ValueError(f"gate {node.id} is {node.kind.value} in the netlist "
+                             f"but its instance is {gate.kind.value}")
+        if id(gate) in seen:
+            raise ValueError(f"gates {seen[id(gate)]} and {node.id} share one instance")
+        seen[id(gate)] = node.id
+
+
+def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> list[float]:
+    """A terminal's voltage at each of the ascending times, by ``Stimulus.value_at``'s rule.
+
+    A cursor walks the segments once.  Every segment it has passed ends at
+    or before the current time, so the segment under the cursor, when it
+    covers the time, is the first that does.  Any other time (at or past
+    the horizon, or in a gap) is left to ``value_at`` itself.
+    """
+    segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
+    pending = iter(segs)
+    seg = next(pending, None)
+    out = []
+    for t in starts:
+        while seg is not None and seg.end <= t:
+            seg = next(pending, None)
+        out.append(seg.volts if seg is not None and seg.start <= t < seg.end else stimulus.value_at(name, t))
+    return out
+
+
+def _run_gate(gate: GateInstance, sources: list[list[float]], dt: float, b: float):
+    """Advance one gate through every step; return its voltage, current, x1 and x2 series.
+
+    ``sources`` are the drivers' voltage series.  The final device state
+    is written back to ``gate.state``.
+    """
+    p = gate.params
+    if gate.kind is GateKind.MOR:
+        drive = list(map(mor_effective_voltage, *sources))
+    elif gate.kind is GateKind.MAND:
+        drive = list(map(mand_effective_voltage, *sources))
+    else:
+        # The summing stage adds the constant source to the input.
+        v_con = gate.v_con
+        drive = [v + v_con for v in sources[0]]
+
+    e1p, e2p = math.exp(-dt / p.t1), math.exp(-dt / p.t2)
+    e1d, e2d = math.exp(-dt / p.t1_dep), math.exp(-dt / p.t2_dep)
+    v_ox, v_red = p.v_ox, p.v_red
+    x1, x2 = gate.state.x1, gate.state.x2
+    x1s: list[float] = []
+    x2s: list[float] = []
+    for v in drive:
+        if v >= v_ox:
+            x1 = x1 * e1p
+            x2 = x2 * e2p
+        elif v <= v_red:
+            x1 = 1.0 - (1.0 - x1) * e1d
+            x2 = 1.0 - (1.0 - x2) * e2d
+        x1s.append(x1)
+        x2s.append(x2)
+    gate.state = MemristorState(x1, x2)
+
+    a1, a2, c, v_ref = p.a1, p.a2, p.c, p.v_ref
+    currents = [a1 * u + a2 * w + c for u, w in zip(x1s, x2s)]
+    if gate.kind is GateKind.MNOT:
+        # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
+        r12, v_rail, g_off = gate.r1 + gate.r2, gate.v_rail, 1.0 / R_OFF_CAP
+        volts = []
+        for i in currents:
+            g = i / v_ref
+            r_m = R_OFF_CAP if g <= g_off else 1.0 / g
+            volts.append(v_rail * r_m / (r12 + r_m))
+    else:
+        # Ohmic readout at the drive, then the B conversion to a node voltage.
+        volts = [i / v_ref * v * b for i, v in zip(currents, drive)]
+    return volts, currents, x1s, x2s
+
+
 def simulate(
     graph: CircuitGraph,
     stimulus: Stimulus,
@@ -164,7 +261,8 @@ def simulate(
 
     Identical arguments produce bit-identical traces.  Pass ``gates`` to
     continue from previously trained devices; by default every device
-    starts fresh.
+    starts fresh.  Either way each gate's final state is left in its
+    instance.
     """
     cfg = cfg or SimConfig()
     for name in graph.inputs:
@@ -175,61 +273,48 @@ def simulate(
             f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
     if gates is None:
         gates = build_gates(graph, params)
+    else:
+        _check_gates(graph, gates)
 
-    order = topological_order(graph)
+    dt = cfg.dt
+    starts = [k * dt for k in range(cfg.steps)]
+    net: dict[str | int, list[float]] = {name: _sample(stimulus, name, starts) for name in graph.inputs}
     nodes = {node.id: node for node in graph.nodes}
-    gate_ids = tuple(node.id for node in graph.nodes)
+    currents: dict[int, list[float]] = {}
+    x1: dict[int, list[float]] = {}
+    x2: dict[int, list[float]] = {}
+    for gate_id in topological_order(graph):
+        sources = [net[src] for src in nodes[gate_id].sources]
+        net[gate_id], currents[gate_id], x1[gate_id], x2[gate_id] = _run_gate(gates[gate_id], sources, dt, cfg.b)
 
-    times: list[float] = []
-    voltages: dict[str, list[float]] = {name: [] for name in graph.inputs}
-    voltages.update({f"g{i}": [] for i in gate_ids})
-    currents: dict[int, list[float]] = {i: [] for i in gate_ids}
-    x1: dict[int, list[float]] = {i: [] for i in gate_ids}
-    x2: dict[int, list[float]] = {i: [] for i in gate_ids}
-
-    net: dict[str | int, float] = {}
-    for k in range(cfg.steps):
-        t0 = k * cfg.dt
-        for name in graph.inputs:
-            net[name] = stimulus.value_at(name, t0)
-        for gate_id in order:
-            node = nodes[gate_id]
-            gate = gates[gate_id]
-            drive_inputs = [net[src] for src in node.sources]
-            out = gate.step(drive_inputs, cfg.dt)
-            # MOR/MAND emit current; their node value is the B-converted voltage.
-            net[gate_id] = out if node.kind is GateKind.MNOT else i_to_v(out, cfg)
-        times.append(t0 + cfg.dt)
-        for name in graph.inputs:
-            voltages[name].append(net[name])
-        for gate_id in gate_ids:
-            voltages[f"g{gate_id}"].append(net[gate_id])
-            currents[gate_id].append(model_current(gates[gate_id].state, gates[gate_id].params))
-            x1[gate_id].append(gates[gate_id].state.x1)
-            x2[gate_id].append(gates[gate_id].state.x2)
-
+    gate_ids = tuple(nodes)
+    voltages = {name: net[name] for name in graph.inputs}
+    voltages.update({f"g{i}": net[i] for i in gate_ids})
     return Trace(
         config=cfg,
-        times=times,
+        times=[t0 + dt for t0 in starts],
         input_names=graph.inputs,
         gate_ids=gate_ids,
         probes=graph.probes,
         voltages=voltages,
-        currents=currents,
-        x1=x1,
-        x2=x2,
+        currents={i: currents[i] for i in gate_ids},
+        x1={i: x1[i] for i in gate_ids},
+        x2={i: x2[i] for i in gate_ids},
     )
 
 
-def read_binary(trace: Trace, net: str, t_ms: float, cfg: SimConfig | None = None):
-    """Binary readout of a net at time t: 0, 1, or ``AMBIGUOUS``."""
-    cfg = cfg or trace.config
-    v = trace.voltage_at(net, t_ms)
+def classify(v: float, cfg: SimConfig):
+    """Binary reading of a voltage: 1 above the high threshold, 0 below the low one, else ``AMBIGUOUS``."""
     if v > cfg.threshold_high:
         return 1
     if v < cfg.threshold_low:
         return 0
     return AMBIGUOUS
+
+
+def read_binary(trace: Trace, net: str, t_ms: float, cfg: SimConfig | None = None):
+    """Binary readout of a net at time t: 0, 1, or ``AMBIGUOUS``."""
+    return classify(trace.voltage_at(net, t_ms), cfg or trace.config)
 
 
 def settle_time(
@@ -250,14 +335,7 @@ def settle_time(
     for k, t in enumerate(trace.times):
         if t < onset_ms:
             continue
-        v = column[k]
-        if v > cfg.threshold_high:
-            verdict = 1
-        elif v < cfg.threshold_low:
-            verdict = 0
-        else:
-            verdict = AMBIGUOUS
-        if verdict == level:
+        if classify(column[k], cfg) == level:
             if settled is None:
                 settled = t
         else:
@@ -266,9 +344,9 @@ def settle_time(
 
 
 def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
-    """Write the CSV trace and its JSON metadata sidecar."""
+    """Write the CSV trace, streamed line by line, and its JSON metadata sidecar."""
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace.to_csv())
+        fh.writelines(trace.csv_lines())
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(trace.metadata(fixture_texts), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,11 +9,15 @@ from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
     Trace,
+    build_gates,
+    classify,
     i_to_v,
     read_binary,
     settle_time,
     simulate,
 )
+from memlogic.gates import GateInstance, GateKind
+from memlogic.harness import build_full_adder, make_pattern_stimulus
 from memlogic.netlist import CoverageError, UnknownTerminalError, parse_circuit, parse_stimulus
 
 PARAMS = DeviceParams()
@@ -129,6 +133,47 @@ class TestSimulate:
             simulate(graph, stim)
 
 
+class TestTrainedGates:
+    def test_final_states_are_left_in_the_instances(self):
+        graph = parse_circuit(SINGLE_MOR)
+        stim = parse_stimulus(stimulus("0..100=0.1, 100..400=0.6", "0..400=0.1"))
+        gates = build_gates(graph)
+        trace = simulate(graph, stim, gates=gates)
+        assert (gates[1].state.x1, gates[1].state.x2) == (trace.x1[1][-1], trace.x2[1][-1])
+        assert gates[1].state.x1 < 1.0
+
+    def test_kind_mismatch_rejected(self):
+        # A MOR device in SUM's MAND slot would drive as MOR, and pattern 101 would read SUM = 1.
+        graph = build_full_adder()
+        gates = build_gates(graph)
+        gates[12] = GateInstance(kind=GateKind.MOR)
+        with pytest.raises(ValueError, match="gate 12 is MAND"):
+            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
+
+    def test_missing_gate_rejected(self):
+        graph = build_full_adder()
+        gates = build_gates(graph)
+        del gates[5]
+        with pytest.raises(ValueError, match="gate 5"):
+            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
+
+    def test_shared_instance_rejected(self):
+        graph = parse_circuit("input A\ninput B\ngate 1 MOR A B\ngate 2 MOR 1 B\n")
+        stim = parse_stimulus(stimulus("0..400=0.6", "0..400=0.1"))
+        shared = GateInstance(kind=GateKind.MOR)
+        with pytest.raises(ValueError, match="gates 1 and 2"):
+            simulate(graph, stim, gates={1: shared, 2: shared})
+
+    def test_rejected_gates_are_left_untouched(self):
+        graph = build_full_adder()
+        gates = build_gates(graph)
+        gates[5] = GateInstance(kind=GateKind.MOR)
+        before = {i: g.state for i, g in gates.items()}
+        with pytest.raises(ValueError):
+            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
+        assert {i: g.state for i, g in gates.items()} == before
+
+
 class TestTraceExport:
     def test_csv_shape_and_format(self):
         graph = parse_circuit(SINGLE_MOR)
@@ -190,6 +235,13 @@ class TestReadBinary:
         trace = synthetic_trace([0.0] * 10)
         with pytest.raises(ValueError):
             read_binary(trace, "NET", 1000.0)
+
+
+@pytest.mark.parametrize("v,level", [
+    (0.36, 1), (0.35, AMBIGUOUS), (0.3, AMBIGUOUS), (0.25, AMBIGUOUS), (0.24, 0), (-0.0, 0),
+])
+def test_classify_band_edges(v, level):
+    assert classify(v, SimConfig()) == level
 
 
 class TestSettleTime:
