@@ -13,7 +13,6 @@ from .device import (
     device_current,
     model_current,
     new_state,
-    reset,
     step,
 )
 from .engine import AMBIGUOUS, SimConfig, Trace, i_to_v, read_binary, settle_time, simulate, write_trace
@@ -98,7 +97,6 @@ __all__ = [
     "parse_circuit",
     "parse_stimulus",
     "read_binary",
-    "reset",
     "run_pattern",
     "serialize_circuit",
     "serialize_stimulus",

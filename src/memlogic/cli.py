@@ -7,7 +7,7 @@ Commands:
   check         parse and validate fixtures without simulating
 
 Exit codes: 0 success / all checks passed, 1 a verdict failed,
-2 usage or parse error.
+2 usage, config or parse error.
 """
 
 from __future__ import annotations
@@ -31,10 +31,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vred", type=float, default=-0.1, help="reduction potential in volts")
 
 
+class ConfigError(ValueError):
+    """A flag value that :class:`SimConfig` or :class:`DeviceParams` rejects."""
+
+
 def _config_from(args: argparse.Namespace) -> tuple[SimConfig, DeviceParams]:
-    cfg = SimConfig(dt=args.dt, horizon=args.horizon, b=args.b)
-    params = DeviceParams(v_ox=args.vox, v_red=args.vred)
-    return cfg, params
+    try:
+        return SimConfig(dt=args.dt, horizon=args.horizon, b=args.b), DeviceParams(v_ox=args.vox, v_red=args.vred)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _read(path: str) -> str:
@@ -55,11 +60,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_adder(args: argparse.Namespace) -> int:
-    cfg, _ = _config_from(args)
+    cfg, params = _config_from(args)
     report = []
     all_passed = True
     for bits in ((0, 1, 0), (1, 0, 1)):
-        _, verdicts = run_pattern(*bits, cfg=cfg)
+        _, verdicts = run_pattern(*bits, cfg=cfg, params=params)
         for v in verdicts:
             line = f"[{'PASS' if v.passed else 'FAIL'}] {v.experiment}: {v.check}  measured {v.measured}"
             print(line)
@@ -133,10 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NetlistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NetlistError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

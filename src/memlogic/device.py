@@ -124,12 +124,3 @@ def step(state: MemristorState, params: DeviceParams, v_applied: float, dt: floa
             1.0 - (1.0 - state.x2) * math.exp(-dt / params.t2_dep),
         )
     return state
-
-
-def reset(state: MemristorState, params: DeviceParams) -> MemristorState:
-    """Return the fresh insulating state.
-
-    Equivalent to holding a reducing bias for a time much longer than the
-    slow depression constant.
-    """
-    return MemristorState(1.0, 1.0)

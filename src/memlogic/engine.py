@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # ``model_current`` stays importable from this module for callers that look it up here.
 from .device import DeviceParams, MemristorState, model_current  # noqa: F401
 from .gates import R_OFF_CAP, GateInstance, GateKind, mand_effective_voltage, mor_effective_voltage
-from .netlist import CircuitGraph, CoverageError, Stimulus, UnknownTerminalError, topological_order
+from .netlist import (CircuitGraph, CoverageError, DuplicateError, Stimulus, UnknownTerminalError,
+                      topological_order)
 
 AMBIGUOUS = "ambiguous"
 
@@ -45,6 +46,7 @@ class SimConfig:
     0, and anything between is reported as ambiguous.  The defaults put
     the canonical 0.3 V ambiguity marker inside the band while staying
     reachable by second-level gates within the standard 400 ms protocol.
+    Every field must be finite.
     """
 
     dt: float = 1.0
@@ -56,6 +58,9 @@ class SimConfig:
     threshold_high: float = 0.35
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
@@ -77,31 +82,27 @@ def i_to_v(i: float, cfg: SimConfig) -> float:
 
 @dataclass
 class Trace:
-    """Per-timestep record of every node voltage and device state.
+    """Per-timestep record of every node voltage and device state, as one table.
 
-    ``voltages`` holds one series per column: input terminals by name,
-    gates as ``g<ID>``, probes by their declared names (aliases of their
-    gate's series).  ``currents``/``x1``/``x2`` hold the device internals
-    per gate id.
+    ``columns`` maps each CSV column name to its series, in CSV order:
+    ``t_ms``, the input terminals, the probes (each the same list as its
+    gate's series), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
+    ``g<ID>_x2`` per gate.
     """
 
     config: SimConfig
-    times: list[float]
-    input_names: tuple[str, ...]
-    gate_ids: tuple[int, ...]
-    probes: dict[str, int]
-    voltages: dict[str, list[float]]
-    currents: dict[int, list[float]]
-    x1: dict[int, list[float]]
-    x2: dict[int, list[float]]
+    columns: dict[str, list[float]]
+
+    @property
+    def times(self) -> list[float]:
+        return self.columns["t_ms"]
 
     def column(self, net: str) -> list[float]:
-        """Voltage series for an input, probe, or ``g<ID>`` column name."""
-        if net in self.voltages:
-            return self.voltages[net]
-        if net in self.probes:
-            return self.voltages[f"g{self.probes[net]}"]
-        raise KeyError(f"unknown net {net!r}")
+        """Series of one column: an input, a probe, ``g<ID>`` or a device internal."""
+        try:
+            return self.columns[net]
+        except KeyError:
+            raise KeyError(f"unknown net {net!r}") from None
 
     def index_at(self, t_ms: float) -> int:
         idx = int(round(t_ms / self.config.dt)) - 1
@@ -112,18 +113,8 @@ class Trace:
     def voltage_at(self, net: str, t_ms: float) -> float:
         return self.column(net)[self.index_at(t_ms)]
 
-    def series(self) -> list[tuple[str, list[float]]]:
-        """Every CSV column as a (name, series) pair, in CSV order."""
-        cols = [("t_ms", self.times)]
-        cols += [(name, self.voltages[name]) for name in self.input_names]
-        cols += [(name, self.voltages[f"g{i}"]) for name, i in self.probes.items()]
-        cols += [(f"g{i}", self.voltages[f"g{i}"]) for i in self.gate_ids]
-        for i in self.gate_ids:
-            cols += [(f"g{i}_I", self.currents[i]), (f"g{i}_x1", self.x1[i]), (f"g{i}_x2", self.x2[i])]
-        return cols
-
     def csv_columns(self) -> list[str]:
-        return [name for name, _ in self.series()]
+        return list(self.columns)
 
     def csv_lines(self):
         """Yield the CSV text line by line: the header, then one line per record.
@@ -131,10 +122,9 @@ class Trace:
         Values are in 9-significant-digit scientific notation; ``"%.8e"``
         renders a float exactly as ``f"{v:.8e}"`` does.
         """
-        series = self.series()
-        yield ",".join(name for name, _ in series) + "\n"
-        row_format = ",".join(["%.8e"] * len(series)) + "\n"
-        yield from map(row_format.__mod__, zip(*(values for _, values in series)))
+        yield ",".join(self.columns) + "\n"
+        row_format = ",".join(["%.8e"] * len(self.columns)) + "\n"
+        yield from map(row_format.__mod__, zip(*self.columns.values()))
 
     def to_csv(self) -> str:
         """Render the trace as CSV, values in 9-significant-digit scientific notation."""
@@ -142,23 +132,9 @@ class Trace:
 
     def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
         """JSON-serializable sidecar: config echo, column list, fixture hashes."""
-        meta = {
-            "config": {
-                "dt": self.config.dt,
-                "horizon": self.config.horizon,
-                "b": self.config.b,
-                "v_logic1": self.config.v_logic1,
-                "v_logic0": self.config.v_logic0,
-                "threshold_low": self.config.threshold_low,
-                "threshold_high": self.config.threshold_high,
-            },
-            "records": len(self.times),
-            "columns": self.csv_columns(),
-            "fixtures": {},
-        }
-        for name, text in (fixture_texts or {}).items():
-            meta["fixtures"][name] = hashlib.sha256(text.encode()).hexdigest()
-        return meta
+        fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
+        return {"config": asdict(self.config), "records": len(self.times),
+                "columns": self.csv_columns(), "fixtures": fixtures}
 
 
 def build_gates(graph: CircuitGraph, params: DeviceParams | None = None) -> dict[int, GateInstance]:
@@ -262,7 +238,8 @@ def simulate(
     Identical arguments produce bit-identical traces.  Pass ``gates`` to
     continue from previously trained devices; by default every device
     starts fresh.  Either way each gate's final state is left in its
-    instance.
+    instance.  An input or probe named like another trace column raises
+    :class:`~memlogic.netlist.DuplicateError` before any step is taken.
     """
     cfg = cfg or SimConfig()
     for name in graph.inputs:
@@ -271,6 +248,14 @@ def simulate(
     if stimulus.horizon_ms < cfg.horizon:
         raise CoverageError(
             f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
+    nodes = {node.id: node for node in graph.nodes}
+    names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
+    names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
+    columns: dict[str, list[float]] = dict.fromkeys(names)
+    if len(columns) < len(names):
+        clash = next(name for k, name in enumerate(names) if name in names[:k])
+        raise DuplicateError(f"trace column {clash!r} is named twice: input and probe names "
+                             "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
     if gates is None:
         gates = build_gates(graph, params)
     else:
@@ -278,29 +263,18 @@ def simulate(
 
     dt = cfg.dt
     starts = [k * dt for k in range(cfg.steps)]
-    net: dict[str | int, list[float]] = {name: _sample(stimulus, name, starts) for name in graph.inputs}
-    nodes = {node.id: node for node in graph.nodes}
-    currents: dict[int, list[float]] = {}
-    x1: dict[int, list[float]] = {}
-    x2: dict[int, list[float]] = {}
+    for name in graph.inputs:
+        columns[name] = _sample(stimulus, name, starts)
     for gate_id in topological_order(graph):
-        sources = [net[src] for src in nodes[gate_id].sources]
-        net[gate_id], currents[gate_id], x1[gate_id], x2[gate_id] = _run_gate(gates[gate_id], sources, dt, cfg.b)
-
-    gate_ids = tuple(nodes)
-    voltages = {name: net[name] for name in graph.inputs}
-    voltages.update({f"g{i}": net[i] for i in gate_ids})
-    return Trace(
-        config=cfg,
-        times=[t0 + dt for t0 in starts],
-        input_names=graph.inputs,
-        gate_ids=gate_ids,
-        probes=graph.probes,
-        voltages=voltages,
-        currents={i: currents[i] for i in gate_ids},
-        x1={i: x1[i] for i in gate_ids},
-        x2={i: x2[i] for i in gate_ids},
-    )
+        sources = [columns[src if isinstance(src, str) else f"g{src}"] for src in nodes[gate_id].sources]
+        g = f"g{gate_id}"
+        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"] = _run_gate(
+            gates[gate_id], sources, dt, cfg.b)
+    for name, gate_id in graph.outputs:
+        columns[name] = columns[f"g{gate_id}"]
+    # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.
+    columns["t_ms"] = [t0 + dt for t0 in starts]
+    return Trace(cfg, columns)
 
 
 def classify(v: float, cfg: SimConfig):

@@ -112,10 +112,6 @@ class GateInstance:
             raise ValueError("normalized output is defined for MOR and MAND only")
         return model_current(self.state, self.params) / self.params.c
 
-    def reset(self) -> None:
-        """Return the device to the fresh insulating state."""
-        self.state = new_state()
-
 
 def make_gate(kind: GateKind, params: DeviceParams | None = None) -> GateInstance:
     """Fresh gate of the given kind with default divider values."""

@@ -91,9 +91,10 @@ class Verdict:
 
 
 def evaluate(experiment: Experiment, cfg: SimConfig | None = None,
-             gates: dict[int, GateInstance] | None = None) -> tuple[Trace, list[Verdict]]:
+             gates: dict[int, GateInstance] | None = None,
+             params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
     cfg = cfg or SimConfig()
-    trace = simulate(experiment.graph, experiment.stimulus, cfg, gates=gates)
+    trace = simulate(experiment.graph, experiment.stimulus, cfg, params=params, gates=gates)
     verdicts = []
     for check in experiment.checks:
         got = read_binary(trace, check.net, check.t_ms, cfg)
@@ -121,18 +122,19 @@ def pattern_experiment(a: int, b: int, cin: int, cfg: SimConfig | None = None) -
 
 
 def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
-                gates: dict[int, GateInstance] | None = None) -> tuple[Trace, list[Verdict]]:
-    """Simulate one adder pattern from the given (default: fresh) devices."""
+                gates: dict[int, GateInstance] | None = None,
+                params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
+    """Simulate one adder pattern from the given devices, or from fresh ones with ``params``."""
     for bit in (a, b, cin):
         if bit not in (0, 1):
             raise ValueError("pattern bits must be 0 or 1")
-    return evaluate(pattern_experiment(a, b, cin, cfg), cfg, gates=gates)
+    return evaluate(pattern_experiment(a, b, cin, cfg), cfg, gates=gates, params=params)
 
 
 def mnot_minimum_across(traces: list[Trace], graph: CircuitGraph) -> float:
     """Global minimum over all MNOT outputs across several runs."""
     mnot_ids = [node.id for node in graph.nodes if node.kind is GateKind.MNOT]
-    return min(min(trace.voltages[f"g{i}"]) for trace in traces for i in mnot_ids)
+    return min(min(trace.column(f"g{i}")) for trace in traces for i in mnot_ids)
 
 
 def characterize_gate(kind: GateKind, schedule: Stimulus, cfg: SimConfig | None = None,

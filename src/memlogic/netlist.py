@@ -100,12 +100,6 @@ class CircuitGraph:
     inputs: tuple[str, ...]
     outputs: tuple[tuple[str, int], ...]  # (probe name, gate id), declaration order
 
-    def node_by_id(self, node_id: int) -> GateNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
     @property
     def probes(self) -> dict[str, int]:
         return dict(self.outputs)

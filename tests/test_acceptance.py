@@ -225,9 +225,10 @@ def test_criterion_09_timestep_robustness():
     worst = 0.0
     for bits in coarse:
         t1, t2 = coarse[bits]["trace"], fine[bits]["trace"]
-        for gate_id in t1.gate_ids:
-            v1 = t1.voltages[f"g{gate_id}"][-1]
-            v2 = t2.voltages[f"g{gate_id}"][-1]
+        for node in parse_circuit(fixture_text("adder.mlc")).nodes:
+            gate_id = node.id
+            v1 = t1.column(f"g{gate_id}")[-1]
+            v2 = t2.column(f"g{gate_id}")[-1]
             if v1 == 0.0:
                 assert v2 == 0.0, (bits, gate_id)
             else:

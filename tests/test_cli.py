@@ -45,6 +45,25 @@ def test_adder_verdicts_stable_at_half_timestep(capsys):
     assert main(["adder", "--dt", "0.5"]) == 0
 
 
+def test_adder_applies_device_flags(tmp_path):
+    reports = []
+    for vox in ("0.45", "0.5"):
+        out = tmp_path / f"verdicts_{vox}.json"
+        main(["adder", "--vox", vox, "--out", str(out)])
+        reports.append([entry["measured"] for entry in json.loads(out.read_text())])
+    assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "0"], ["--dt", "nan"], ["--vox", "0.7"], ["--b", "nan"], ["--horizon", "nan"], ["--vred", "nan"],
+])
+def test_bad_config_flag_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_check_valid_fixture(capsys):
     code = main(["check", "--circuit", ADDER, "--stimulus", PATTERN_101])
     captured = capsys.readouterr()

@@ -13,7 +13,6 @@ from memlogic.device import (
     device_current,
     model_current,
     new_state,
-    reset,
     step,
 )
 
@@ -114,12 +113,6 @@ class TestStep:
             step(new_state(1.0), PARAMS, 0.6, 0.0)
         with pytest.raises(ValueError):
             step(new_state(1.0), PARAMS, 0.6, -1.0)
-
-
-class TestReset:
-    @pytest.mark.parametrize("start", [(0.0, 0.0), (0.5, 0.2), (1.0, 1.0)])
-    def test_reset(self, start):
-        assert reset(MemristorState(*start), PARAMS) == MemristorState(1.0, 1.0)
 
 
 def test_iterated_step_matches_closed_form():

@@ -18,7 +18,7 @@ from memlogic.engine import (
 )
 from memlogic.gates import GateInstance, GateKind
 from memlogic.harness import build_full_adder, make_pattern_stimulus
-from memlogic.netlist import CoverageError, UnknownTerminalError, parse_circuit, parse_stimulus
+from memlogic.netlist import CoverageError, DuplicateError, UnknownTerminalError, parse_circuit, parse_stimulus
 
 PARAMS = DeviceParams()
 
@@ -53,6 +53,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"horizon": 0.5}, {"b": -1.0},
         {"threshold_low": 0.5, "threshold_high": 0.4},
+        {"dt": math.nan}, {"horizon": math.inf}, {"b": math.nan}, {"threshold_high": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,7 +66,7 @@ class TestSimulate:
         stim = parse_stimulus(stimulus("0..400=0.1", "0..400=0.1"))
         trace = simulate(graph, stim)
         assert all(v == 0.0 for v in trace.column("OUT"))
-        assert trace.x1[1][-1] == 1.0 and trace.x2[1][-1] == 1.0
+        assert trace.column("g1_x1")[-1] == 1.0 and trace.column("g1_x2")[-1] == 1.0
 
     def test_single_gate_matches_closed_form(self):
         graph = parse_circuit(SINGLE_MOR)
@@ -90,8 +91,7 @@ class TestSimulate:
         stim = parse_stimulus(stimulus("0..100=0.1, 100..400=0.6", "0..250=0.1, 250..400=0.6"))
         t1 = simulate(graph, stim)
         t2 = simulate(graph, stim)
-        assert t1.voltages == t2.voltages
-        assert t1.currents == t2.currents
+        assert t1.columns == t2.columns
         assert t1.to_csv() == t2.to_csv()
 
     def test_timestep_halving_small_perturbation(self):
@@ -132,6 +132,18 @@ class TestSimulate:
         with pytest.raises(CoverageError):
             simulate(graph, stim)
 
+    @pytest.mark.parametrize("circuit,clash", [
+        ("input g1\ninput t_ms\ngate 1 MOR g1 t_ms\n", "t_ms"),
+        ("input g1\ninput B\ngate 1 MOR g1 B\n", "g1"),
+        ("input A\ngate 1 MNOT A\noutput g1_x2 1\n", "g1_x2"),
+        ("input A\ngate 2 MNOT A\noutput t_ms 2\n", "t_ms"),
+    ])
+    def test_input_or_probe_named_like_a_trace_column_is_rejected(self, circuit, clash):
+        graph = parse_circuit(circuit)
+        stim = parse_stimulus("".join(f"{name}: 0..400=0.6\n" for name in graph.inputs))
+        with pytest.raises(DuplicateError, match=f"'{clash}'"):
+            simulate(graph, stim)
+
 
 class TestTrainedGates:
     def test_final_states_are_left_in_the_instances(self):
@@ -139,7 +151,7 @@ class TestTrainedGates:
         stim = parse_stimulus(stimulus("0..100=0.1, 100..400=0.6", "0..400=0.1"))
         gates = build_gates(graph)
         trace = simulate(graph, stim, gates=gates)
-        assert (gates[1].state.x1, gates[1].state.x2) == (trace.x1[1][-1], trace.x2[1][-1])
+        assert (gates[1].state.x1, gates[1].state.x2) == (trace.column("g1_x1")[-1], trace.column("g1_x2")[-1])
         assert gates[1].state.x1 < 1.0
 
     def test_kind_mismatch_rejected(self):
@@ -200,17 +212,7 @@ class TestTraceExport:
 
 def synthetic_trace(values, cfg=None) -> Trace:
     cfg = cfg or SimConfig(horizon=float(len(values)))
-    return Trace(
-        config=cfg,
-        times=[float(i + 1) for i in range(len(values))],
-        input_names=(),
-        gate_ids=(1,),
-        probes={"NET": 1},
-        voltages={"g1": list(values)},
-        currents={1: [0.0] * len(values)},
-        x1={1: [1.0] * len(values)},
-        x2={1: [1.0] * len(values)},
-    )
+    return Trace(config=cfg, columns={"t_ms": [float(i + 1) for i in range(len(values))], "NET": list(values)})
 
 
 class TestReadBinary:

@@ -14,26 +14,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import DeviceParams, MemristorState, model_current
-from memlogic.engine import SimConfig, Trace, build_gates, i_to_v, simulate
+from memlogic.engine import SimConfig, Trace, simulate
 from memlogic.gates import GateInstance, GateKind
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit, topological_order
 
 
 def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Trace:
-    """The object-per-gate engine: one ``GateInstance.step`` per gate per step."""
+    """The object-per-gate engine: one ``GateInstance.step`` per gate per step.
+
+    It names and fills its own columns and calls no engine helper, so the
+    comparison covers the engine's column layout too.
+    """
     cfg = cfg or SimConfig()
     if gates is None:
-        gates = build_gates(graph, params)
+        gates = {node.id: GateInstance(kind=node.kind, params=params or DeviceParams()) for node in graph.nodes}
     order = topological_order(graph)
     nodes = {node.id: node for node in graph.nodes}
     gate_ids = tuple(node.id for node in graph.nodes)
 
-    times: list[float] = []
-    voltages: dict[str, list[float]] = {name: [] for name in graph.inputs}
-    voltages.update({f"g{i}": [] for i in gate_ids})
-    currents: dict[int, list[float]] = {i: [] for i in gate_ids}
-    x1: dict[int, list[float]] = {i: [] for i in gate_ids}
-    x2: dict[int, list[float]] = {i: [] for i in gate_ids}
+    columns: dict[str, list[float]] = {"t_ms": []}
+    columns.update({name: [] for name in graph.inputs})
+    gate_volts = {i: [] for i in gate_ids}
+    columns.update({name: gate_volts[i] for name, i in graph.outputs})
+    columns.update({f"g{i}": gate_volts[i] for i in gate_ids})
+    for i in gate_ids:
+        columns.update({f"g{i}_I": [], f"g{i}_x1": [], f"g{i}_x2": []})
 
     net: dict = {}
     for k in range(cfg.steps):
@@ -44,22 +49,22 @@ def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Tr
             node = nodes[gate_id]
             gate = gates[gate_id]
             out = gate.step([net[src] for src in node.sources], cfg.dt)
-            net[gate_id] = out if node.kind is GateKind.MNOT else i_to_v(out, cfg)
-        times.append(t0 + cfg.dt)
+            net[gate_id] = out if node.kind is GateKind.MNOT else out * cfg.b
+        columns["t_ms"].append(t0 + cfg.dt)
         for name in graph.inputs:
-            voltages[name].append(net[name])
+            columns[name].append(net[name])
         for gate_id in gate_ids:
-            voltages[f"g{gate_id}"].append(net[gate_id])
-            currents[gate_id].append(model_current(gates[gate_id].state, gates[gate_id].params))
-            x1[gate_id].append(gates[gate_id].state.x1)
-            x2[gate_id].append(gates[gate_id].state.x2)
+            state = gates[gate_id].state
+            gate_volts[gate_id].append(net[gate_id])
+            columns[f"g{gate_id}_I"].append(model_current(state, gates[gate_id].params))
+            columns[f"g{gate_id}_x1"].append(state.x1)
+            columns[f"g{gate_id}_x2"].append(state.x2)
 
-    return Trace(config=cfg, times=times, input_names=graph.inputs, gate_ids=gate_ids,
-                 probes=graph.probes, voltages=voltages, currents=currents, x1=x1, x2=x2)
+    return Trace(config=cfg, columns=columns)
 
 
-def hexed(trace: Trace) -> dict:
-    return {name: [float(v).hex() for v in values] for name, values in trace.series()}
+def hexed(trace: Trace) -> list:
+    return [(name, [float(v).hex() for v in values]) for name, values in trace.columns.items()]
 
 
 def state_hex(gates: dict[int, GateInstance]) -> dict:

@@ -78,9 +78,9 @@ class TestReferencePatterns:
 
     def test_000_is_fully_quiescent(self):
         trace, _ = run_pattern(0, 0, 0, CFG)
-        for gate_id in trace.gate_ids:
-            assert trace.x1[gate_id][-1] == 1.0
-            assert trace.x2[gate_id][-1] == 1.0
+        for node in build_full_adder().nodes:
+            assert trace.column(f"g{node.id}_x1")[-1] == 1.0
+            assert trace.column(f"g{node.id}_x2")[-1] == 1.0
         assert all(read_binary(trace, "SUM", t) == 0 for t in (1.0, 100.0, 250.0, 400.0))
 
     def test_verdict_report_is_json_serializable(self):
@@ -113,7 +113,7 @@ class TestMnotFloor:
         for bits in ((0, 1, 0), (1, 0, 1)):
             trace, _ = run_pattern(*bits, cfg=CFG)
             for gate_id in mnot_ids:
-                assert min(trace.voltages[f"g{gate_id}"]) > 0.0
+                assert min(trace.column(f"g{gate_id}")) > 0.0
 
 
 class TestLearningPersistence:
@@ -167,7 +167,8 @@ class TestCharacterization:
         idx = {int(ms): trace.index_at(float(ms)) for ms in (100, 101, 150, 160, 200, 250, 300, 310, 400)}
         assert out[idx[150]] > out[idx[101]]                 # rises while driven
         assert out[idx[200]] == out[idx[160]]                # holds in the gap (low-bias readout)
-        assert trace.x1[1][idx[200]] == trace.x1[1][idx[150]]  # state frozen in the gap
+        x1 = trace.column("g1_x1")
+        assert x1[idx[200]] == x1[idx[150]]                  # state frozen in the gap
         assert out[idx[300]] > out[idx[250]]                 # resumes rising
         assert out[idx[400]] == out[idx[310]]                # holds after release
         assert out[idx[300]] > out[idx[150]]                 # accumulation across activations
