@@ -7,6 +7,7 @@ ships a one-bit full adder as the reference circuit.
 """
 
 from .device import (
+    ConfigError,
     DeviceParams,
     MemristorState,
     conductance,
@@ -15,18 +16,15 @@ from .device import (
     new_state,
     step,
 )
-from .engine import AMBIGUOUS, SimConfig, Trace, i_to_v, read_binary, settle_time, simulate, write_trace
+from .engine import AMBIGUOUS, SimConfig, Trace, read_binary, settle_time, simulate, write_trace
 from .gates import (
     R_OFF_CAP,
     GateInstance,
     GateKind,
-    make_gate,
     mand_effective_voltage,
     mor_effective_voltage,
 )
 from .harness import (
-    Check,
-    Experiment,
     Verdict,
     adder_truth,
     build_full_adder,
@@ -60,14 +58,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AMBIGUOUS",
     "ArityError",
-    "Check",
+    "ConfigError",
     "CircuitGraph",
     "CoverageError",
     "CycleError",
     "DanglingNetError",
     "DeviceParams",
     "DuplicateError",
-    "Experiment",
     "GateInstance",
     "GateKind",
     "GateNode",
@@ -87,8 +84,6 @@ __all__ = [
     "characterize_gate",
     "conductance",
     "device_current",
-    "i_to_v",
-    "make_gate",
     "make_pattern_stimulus",
     "mand_effective_voltage",
     "model_current",

@@ -2,7 +2,7 @@
 
 Commands:
   run           simulate a netlist under a stimulus, write the trace CSV
-  adder         run the bundled full-adder patterns and report verdicts
+  adder         run the bundled full adder on all 8 patterns and report verdicts
   characterize  run a single gate under a canned or custom schedule
   check         parse and validate fixtures without simulating
 
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .device import DeviceParams
+from .device import ConfigError, DeviceParams
 from .engine import SimConfig, simulate, write_trace
 from .gates import GateKind
 from .harness import characterize_gate, default_characterization_schedule, run_pattern
@@ -31,15 +31,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vred", type=float, default=-0.1, help="reduction potential in volts")
 
 
-class ConfigError(ValueError):
-    """A flag value that :class:`SimConfig` or :class:`DeviceParams` rejects."""
-
-
 def _config_from(args: argparse.Namespace) -> tuple[SimConfig, DeviceParams]:
-    try:
-        return SimConfig(dt=args.dt, horizon=args.horizon, b=args.b), DeviceParams(v_ox=args.vox, v_red=args.vred)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SimConfig(dt=args.dt, horizon=args.horizon, b=args.b), DeviceParams(v_ox=args.vox, v_red=args.vred)
 
 
 def _read(path: str) -> str:
@@ -54,7 +47,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     graph = parse_circuit(circuit_text)
     stimulus = parse_stimulus(stimulus_text)
     trace = simulate(graph, stimulus, cfg, params=params)
-    write_trace(trace, args.out, {"circuit": circuit_text, "stimulus": stimulus_text})
+    write_trace(trace, args.out, {"circuit": circuit_text, "stimulus": stimulus_text}, params)
     print(f"wrote {len(trace.times)} records to {args.out}")
     return 0
 
@@ -63,7 +56,7 @@ def cmd_adder(args: argparse.Namespace) -> int:
     cfg, params = _config_from(args)
     report = []
     all_passed = True
-    for bits in ((0, 1, 0), (1, 0, 1)):
+    for bits in ((a, b, cin) for a in (0, 1) for b in (0, 1) for cin in (0, 1)):
         _, verdicts = run_pattern(*bits, cfg=cfg, params=params)
         for v in verdicts:
             line = f"[{'PASS' if v.passed else 'FAIL'}] {v.experiment}: {v.check}  measured {v.measured}"
@@ -85,7 +78,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     else:
         schedule = default_characterization_schedule(kind, cfg)
     trace = characterize_gate(kind, schedule, cfg, params=params)
-    write_trace(trace, args.out)
+    write_trace(trace, args.out, params=params)
     print(f"wrote {len(trace.times)} records to {args.out}")
     return 0
 
@@ -113,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_adder = sub.add_parser("adder", help="run the bundled full-adder acceptance patterns")
+    p_adder = sub.add_parser("adder", help="run the bundled full adder on all 8 input patterns")
     p_adder.add_argument("--out", help="optional JSON verdict report path")
     _add_config_flags(p_adder)
     p_adder.set_defaults(func=cmd_adder)

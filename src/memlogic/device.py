@@ -20,6 +20,10 @@ import math
 from dataclasses import dataclass
 
 
+class ConfigError(ValueError):
+    """A device, gate or run setting that the model rejects."""
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Physical constants of one memristive element.
@@ -49,17 +53,17 @@ class DeviceParams:
         if self.t2_dep is None:
             object.__setattr__(self, "t2_dep", self.t2)
         if min(self.t1, self.t2, self.t1_dep, self.t2_dep) <= 0:
-            raise ValueError("time constants must be positive")
+            raise ConfigError("time constants must be positive")
         if not self.v_red < self.v_ox:
-            raise ValueError("reduction potential must lie below oxidation potential")
+            raise ConfigError("reduction potential must lie below oxidation potential")
         if self.c <= 0:
-            raise ValueError("saturation current must be positive")
+            raise ConfigError("saturation current must be positive")
         if self.a1 > 0 or self.a2 > 0:
-            raise ValueError("exponential amplitudes must be non-positive")
+            raise ConfigError("exponential amplitudes must be non-positive")
         if self.a1 + self.a2 + self.c < 0:
-            raise ValueError("fresh-state current would be negative")
+            raise ConfigError("fresh-state current would be negative")
         if not self.v_ref > self.v_ox:
-            raise ValueError("reference bias must exceed the oxidation potential")
+            raise ConfigError("reference bias must exceed the oxidation potential")
 
 
 @dataclass(frozen=True)

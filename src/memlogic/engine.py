@@ -29,10 +29,9 @@ import math
 from dataclasses import asdict, dataclass
 
 # ``model_current`` stays importable from this module for callers that look it up here.
-from .device import DeviceParams, MemristorState, model_current  # noqa: F401
+from .device import ConfigError, DeviceParams, MemristorState, model_current  # noqa: F401
 from .gates import R_OFF_CAP, GateInstance, GateKind, mand_effective_voltage, mor_effective_voltage
-from .netlist import (CircuitGraph, CoverageError, DuplicateError, Stimulus, UnknownTerminalError,
-                      topological_order)
+from .netlist import CircuitGraph, CoverageError, Stimulus, UnknownTerminalError, topological_order
 
 AMBIGUOUS = "ambiguous"
 
@@ -60,24 +59,19 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.horizon < self.dt:
-            raise ValueError("horizon must cover at least one step")
+            raise ConfigError("horizon must cover at least one step")
         if self.b <= 0:
-            raise ValueError("current-to-voltage constant must be positive")
+            raise ConfigError("current-to-voltage constant must be positive")
         if not self.threshold_low < self.threshold_high:
-            raise ValueError("threshold_low must lie below threshold_high")
+            raise ConfigError("threshold_low must lie below threshold_high")
 
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
-
-
-def i_to_v(i: float, cfg: SimConfig) -> float:
-    """Convert a gate output current to the node voltage seen downstream."""
-    return i * cfg.b
 
 
 @dataclass
@@ -130,11 +124,11 @@ class Trace:
         """Render the trace as CSV, values in 9-significant-digit scientific notation."""
         return "".join(self.csv_lines())
 
-    def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
-        """JSON-serializable sidecar: config echo, column list, fixture hashes."""
+    def metadata(self, fixture_texts: dict[str, str] | None = None, params: DeviceParams | None = None) -> dict:
+        """JSON-serializable sidecar: config and device params echo (null if not given), columns, fixture hashes."""
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
-        return {"config": asdict(self.config), "records": len(self.times),
-                "columns": self.csv_columns(), "fixtures": fixtures}
+        return {"config": asdict(self.config), "params": asdict(params) if params else None,
+                "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
 def build_gates(graph: CircuitGraph, params: DeviceParams | None = None) -> dict[int, GateInstance]:
@@ -238,8 +232,7 @@ def simulate(
     Identical arguments produce bit-identical traces.  Pass ``gates`` to
     continue from previously trained devices; by default every device
     starts fresh.  Either way each gate's final state is left in its
-    instance.  An input or probe named like another trace column raises
-    :class:`~memlogic.netlist.DuplicateError` before any step is taken.
+    instance.
     """
     cfg = cfg or SimConfig()
     for name in graph.inputs:
@@ -251,11 +244,8 @@ def simulate(
     nodes = {node.id: node for node in graph.nodes}
     names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
     names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
+    # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
     columns: dict[str, list[float]] = dict.fromkeys(names)
-    if len(columns) < len(names):
-        clash = next(name for k, name in enumerate(names) if name in names[:k])
-        raise DuplicateError(f"trace column {clash!r} is named twice: input and probe names "
-                             "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
     if gates is None:
         gates = build_gates(graph, params)
     else:
@@ -317,10 +307,11 @@ def settle_time(
     return settled
 
 
-def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
+def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None,
+                params: DeviceParams | None = None) -> None:
     """Write the CSV trace, streamed line by line, and its JSON metadata sidecar."""
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(trace.csv_lines())
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(trace.metadata(fixture_texts), fh, indent=2, sort_keys=True)
+        json.dump(trace.metadata(fixture_texts, params), fh, indent=2, sort_keys=True)
         fh.write("\n")

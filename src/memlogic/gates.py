@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .device import DeviceParams, MemristorState, conductance, device_current, model_current, new_state, step
+from .device import ConfigError, DeviceParams, MemristorState, conductance, device_current, model_current, new_state, step
 
 # Divider resistance assigned to a fully insulating device; keeps the
 # MNOT transfer ratio finite while the device passes no current.
@@ -69,12 +69,13 @@ class GateInstance:
     def __post_init__(self) -> None:
         if self.kind is GateKind.MNOT:
             if not self.r1 < self.r2:
-                raise ValueError("MNOT requires r1 < r2")
+                raise ConfigError("MNOT requires r1 < r2")
             on_resistance = self.params.v_ref / self.params.c
             if not on_resistance < self.r2 < R_OFF_CAP:
-                raise ValueError("MNOT r2 must lie between the on- and off-resistance")
+                raise ConfigError("MNOT r2 must lie between the on- and off-resistance")
             if not self.v_con < self.params.v_ox:
-                raise ValueError("MNOT constant source must not potentiate the device on its own")
+                raise ConfigError(f"MNOT constant source ({self.v_con} V) must lie below the oxidation potential "
+                                  f"({self.params.v_ox} V), or it potentiates the device on its own")
 
     def step(self, inputs: list[float], dt: float) -> float:
         """Advance the gate one timestep and return its output.
@@ -112,7 +113,3 @@ class GateInstance:
             raise ValueError("normalized output is defined for MOR and MAND only")
         return model_current(self.state, self.params) / self.params.c
 
-
-def make_gate(kind: GateKind, params: DeviceParams | None = None) -> GateInstance:
-    """Fresh gate of the given kind with default divider values."""
-    return GateInstance(kind=kind, params=params or DeviceParams())

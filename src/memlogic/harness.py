@@ -56,25 +56,6 @@ def adder_truth(a: int, b: int, cin: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Check:
-    """One expectation on a simulated net: its readout at a given time."""
-
-    net: str
-    t_ms: float
-    expected: object  # 0, 1 or AMBIGUOUS
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """A named circuit/stimulus pair with expectations to evaluate."""
-
-    name: str
-    graph: CircuitGraph
-    stimulus: Stimulus
-    checks: tuple[Check, ...]
-
-
-@dataclass(frozen=True)
 class Verdict:
     experiment: str
     check: str
@@ -90,51 +71,28 @@ class Verdict:
         }
 
 
-def evaluate(experiment: Experiment, cfg: SimConfig | None = None,
-             gates: dict[int, GateInstance] | None = None,
-             params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
-    cfg = cfg or SimConfig()
-    trace = simulate(experiment.graph, experiment.stimulus, cfg, params=params, gates=gates)
-    verdicts = []
-    for check in experiment.checks:
-        got = read_binary(trace, check.net, check.t_ms, cfg)
-        verdicts.append(Verdict(
-            experiment=experiment.name,
-            check=f"{check.net}@{check.t_ms:g}ms == {check.expected}",
-            passed=got == check.expected,
-            measured=f"{got} ({trace.voltage_at(check.net, check.t_ms):.4f} V)",
-        ))
-    return trace, verdicts
-
-
-def pattern_experiment(a: int, b: int, cin: int, cfg: SimConfig | None = None) -> Experiment:
-    cfg = cfg or SimConfig()
-    s, c = adder_truth(a, b, cin)
-    return Experiment(
-        name=f"adder_{a}{b}{cin}",
-        graph=build_full_adder(),
-        stimulus=make_pattern_stimulus(a, b, cin, cfg),
-        checks=(
-            Check("SUM", cfg.horizon, s),
-            Check("COUT", cfg.horizon, c),
-        ),
-    )
-
-
 def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
                 gates: dict[int, GateInstance] | None = None,
                 params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
-    """Simulate one adder pattern from the given devices, or from fresh ones with ``params``."""
+    """Simulate one adder pattern and check SUM, then COUT, against the truth table at the horizon.
+
+    The devices are the given ``gates``, or fresh ones with ``params``.
+    """
     for bit in (a, b, cin):
         if bit not in (0, 1):
             raise ValueError("pattern bits must be 0 or 1")
-    return evaluate(pattern_experiment(a, b, cin, cfg), cfg, gates=gates, params=params)
-
-
-def mnot_minimum_across(traces: list[Trace], graph: CircuitGraph) -> float:
-    """Global minimum over all MNOT outputs across several runs."""
-    mnot_ids = [node.id for node in graph.nodes if node.kind is GateKind.MNOT]
-    return min(min(trace.column(f"g{i}")) for trace in traces for i in mnot_ids)
+    cfg = cfg or SimConfig()
+    trace = simulate(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params=params, gates=gates)
+    verdicts = []
+    for net, expected in zip(("SUM", "COUT"), adder_truth(a, b, cin)):
+        got = read_binary(trace, net, cfg.horizon, cfg)
+        verdicts.append(Verdict(
+            experiment=f"adder_{a}{b}{cin}",
+            check=f"{net}@{cfg.horizon:g}ms == {expected}",
+            passed=got == expected,
+            measured=f"{got} ({trace.voltage_at(net, cfg.horizon):.4f} V)",
+        ))
+    return trace, verdicts
 
 
 def characterize_gate(kind: GateKind, schedule: Stimulus, cfg: SimConfig | None = None,

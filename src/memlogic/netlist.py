@@ -137,6 +137,8 @@ class Stimulus:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_RESERVED = ("name %r is taken by a trace column: input and probe names "
+             "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -174,7 +176,9 @@ def parse_circuit(text: str) -> CircuitGraph:
     Raises a :class:`NetlistError` subclass with the offending line (and
     column where it applies) on any problem: unknown syntax, duplicate
     ids or names, arity mismatches, dangling references and cycles each
-    produce a distinct error type.
+    produce a distinct error type.  Input and probe names share the trace's
+    columns, so ``t_ms`` and the gate columns (``g1``, ``g1_I``, ``g1_x1``
+    and ``g1_x2`` when gate 1 exists) are duplicates too.
     """
     inputs: list[str] = []
     nodes: list[GateNode] = []
@@ -183,19 +187,23 @@ def parse_circuit(text: str) -> CircuitGraph:
     seen_names: dict[str, int] = {}
     output_lines: list[tuple[int, str, int]] = []
 
+    def declare(name: str, what: str, lineno: int, line: str) -> None:
+        if not _NAME_RE.match(name):
+            raise NetlistSyntaxError(f"invalid {what} name {name!r}", lineno, _column_of(line, 1))
+        if name in seen_names:
+            raise DuplicateError(f"name {name!r} already declared on line {seen_names[name]}", lineno)
+        if name == "t_ms":
+            raise DuplicateError(_RESERVED % name, lineno)
+        seen_names[name] = lineno
+
     for lineno, line in _check_format_line(_significant_lines(text)):
         tokens = line.split()
         keyword = tokens[0]
         if keyword == "input":
             if len(tokens) != 2:
                 raise NetlistSyntaxError("expected: input <NAME>", lineno, 1)
-            name = tokens[1]
-            if not _NAME_RE.match(name):
-                raise NetlistSyntaxError(f"invalid input name {name!r}", lineno, _column_of(line, 1))
-            if name in seen_names:
-                raise DuplicateError(f"name {name!r} already declared on line {seen_names[name]}", lineno)
-            seen_names[name] = lineno
-            inputs.append(name)
+            declare(tokens[1], "input", lineno, line)
+            inputs.append(tokens[1])
         elif keyword == "gate":
             if len(tokens) < 4:
                 raise NetlistSyntaxError("expected: gate <ID> <KIND> <src> [<src>]", lineno, 1)
@@ -229,23 +237,23 @@ def parse_circuit(text: str) -> CircuitGraph:
         elif keyword == "output":
             if len(tokens) != 3:
                 raise NetlistSyntaxError("expected: output <NAME> <ID>", lineno, 1)
-            name = tokens[1]
-            if not _NAME_RE.match(name):
-                raise NetlistSyntaxError(f"invalid output name {name!r}", lineno, _column_of(line, 1))
-            if name in seen_names:
-                raise DuplicateError(f"name {name!r} already declared on line {seen_names[name]}", lineno)
+            declare(tokens[1], "output", lineno, line)
             try:
                 target = int(tokens[2])
             except ValueError:
                 raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}",
                                          lineno, _column_of(line, 2)) from None
-            seen_names[name] = lineno
-            output_lines.append((lineno, name, target))
+            output_lines.append((lineno, tokens[1], target))
         elif keyword == "format":
             raise NetlistSyntaxError("format line must come first", lineno, 1)
         else:
             raise NetlistSyntaxError(f"unknown directive {keyword!r}", lineno, 1)
 
+    # Gate columns are known only now: a gate may be declared after a name that repeats its column.
+    gate_columns = {f"g{i}{part}" for i in seen_ids for part in ("", "_I", "_x1", "_x2")}
+    for name, lineno in seen_names.items():
+        if name in gate_columns:
+            raise DuplicateError(_RESERVED % name, lineno)
     input_set = set(inputs)
     for node in nodes:
         for src in node.sources:

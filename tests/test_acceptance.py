@@ -17,7 +17,7 @@ import pytest
 
 from memlogic.device import DeviceParams, MemristorState, model_current, new_state, step
 from memlogic.engine import AMBIGUOUS, SimConfig, read_binary, settle_time
-from memlogic.gates import GateKind, make_gate
+from memlogic.gates import GateInstance, GateKind
 from memlogic.harness import adder_truth, fixture_text, run_pattern
 from memlogic.netlist import (
     ArityError,
@@ -89,14 +89,14 @@ def test_criterion_03_nonvolatility_one_million_holds():
 
 def test_criterion_04_mor_duration_additivity():
     """100 ms on + 100 ms off + 200 ms on equals one contiguous 300 ms on."""
-    split = make_gate(GateKind.MOR)
+    split = GateInstance(GateKind.MOR)
     for _ in range(100):
         split.step([0.6, 0.1], 1.0)
     for _ in range(100):
         split.step([0.1, 0.1], 1.0)
     for _ in range(200):
         split.step([0.1, 0.6], 1.0)
-    contiguous = make_gate(GateKind.MOR)
+    contiguous = GateInstance(GateKind.MOR)
     for _ in range(300):
         contiguous.step([0.6, 0.1], 1.0)
     a = split.normalized_output()
@@ -109,7 +109,7 @@ def test_criterion_04_mor_duration_additivity():
 
 def test_criterion_05_mand_coincidence():
     """Alternating single inputs change nothing; only overlap accumulates."""
-    alternating = make_gate(GateKind.MAND)
+    alternating = GateInstance(GateKind.MAND)
     outputs = set()
     for _ in range(170):
         outputs.add(alternating.step([0.6, 0.1], 1.0))
@@ -117,7 +117,7 @@ def test_criterion_05_mand_coincidence():
         outputs.add(alternating.step([0.1, 0.6], 1.0))
     no_change = outputs == {0.0} and alternating.state == new_state()
 
-    overlap = make_gate(GateKind.MAND)
+    overlap = GateInstance(GateKind.MAND)
     for _ in range(40):
         overlap.step([0.6, 0.1], 1.0)
     for _ in range(75):
@@ -126,7 +126,7 @@ def test_criterion_05_mand_coincidence():
         overlap.step([0.1, 0.6], 1.0)
     for _ in range(75):
         overlap.step([0.6, 0.6], 1.0)
-    contiguous = make_gate(GateKind.MAND)
+    contiguous = GateInstance(GateKind.MAND)
     for _ in range(150):
         contiguous.step([0.6, 0.6], 1.0)
     rel = abs(overlap.normalized_output() - contiguous.normalized_output()) / contiguous.normalized_output()
@@ -139,7 +139,7 @@ def test_criterion_05_mand_coincidence():
 
 def test_criterion_06_mnot_inversion():
     """Fresh inverter sits at the rail; 300 ms of drive pulls it to the floor."""
-    gate = make_gate(GateKind.MNOT)
+    gate = GateInstance(GateKind.MNOT)
     pre = gate.output_voltage()
     for _ in range(300):
         out = gate.step([0.6], 1.0)

@@ -1,10 +1,12 @@
 """Command-line behaviour: exit codes, diagnostics, artifact files."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from memlogic.cli import main
+from memlogic.device import DeviceParams
 from memlogic.harness import fixture_dir
 
 
@@ -23,6 +25,24 @@ def test_run_writes_csv_and_sidecar(tmp_path, capsys):
     assert set(meta["fixtures"]) == {"circuit", "stimulus"}
 
 
+def test_sidecar_records_device_params(tmp_path):
+    sidecars = []
+    for vox in ("0.45", "0.5"):
+        out = tmp_path / f"trace_{vox}.csv"
+        assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), "--vox", vox]) == 0
+        sidecars.append(json.loads((tmp_path / f"trace_{vox}.csv.meta.json").read_text()))
+    assert sidecars[0] != sidecars[1]
+    assert sidecars[0]["params"] == asdict(DeviceParams(v_ox=0.45))
+    assert sidecars[1]["params"] == asdict(DeviceParams())
+
+
+def test_characterize_sidecar_records_device_params(tmp_path):
+    out = tmp_path / "mor.csv"
+    assert main(["characterize", "--gate", "MOR", "--out", str(out), "--vred", "-0.2"]) == 0
+    meta = json.loads((tmp_path / "mor.csv.meta.json").read_text())
+    assert meta["params"] == asdict(DeviceParams(v_red=-0.2))
+
+
 def test_run_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out1)]) == 0
@@ -37,7 +57,7 @@ def test_adder_command_passes_and_reports(tmp_path, capsys):
     assert code == 0
     assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
     payload = json.loads(report.read_text())
-    assert len(payload) == 4
+    assert len(payload) == 16
     assert all(entry["pass"] for entry in payload)
 
 
@@ -64,6 +84,22 @@ def test_bad_config_flag_is_a_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_vox_that_lets_an_mnot_source_potentiate_is_a_usage_error(tmp_path, capsys):
+    # At --vox 0.25 an MNOT's 0.3 V constant source would switch its device on its own.
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), "--vox", "0.25"]) == 2
+    assert capsys.readouterr().err.startswith("error: MNOT constant source")
+    assert not out.exists()
+    report = tmp_path / "verdicts.json"
+    assert main(["adder", "--vox", "0.25", "--out", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: MNOT constant source")
+    assert not report.exists()
+
+
+def test_characterize_gate_without_mnot_accepts_low_vox(tmp_path):
+    assert main(["characterize", "--gate", "MOR", "--vox", "0.25", "--out", str(tmp_path / "mor.csv")]) == 0
+
+
 def test_check_valid_fixture(capsys):
     code = main(["check", "--circuit", ADDER, "--stimulus", PATTERN_101])
     captured = capsys.readouterr()
@@ -79,6 +115,13 @@ def test_check_reports_diagnostic_with_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 3" in captured.err
+
+
+def test_check_rejects_a_name_reserved_for_a_trace_column(tmp_path, capsys):
+    bad = tmp_path / "bad.mlc"
+    bad.write_text("input A\ninput t_ms\ngate 1 MOR A t_ms\noutput OUT 1\n")
+    assert main(["check", "--circuit", str(bad)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_usage_error(capsys):

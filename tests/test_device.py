@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import (
+    ConfigError,
     DeviceParams,
     MemristorState,
     conductance,
@@ -15,6 +16,8 @@ from memlogic.device import (
     new_state,
     step,
 )
+from memlogic.engine import SimConfig
+from memlogic.gates import GateInstance, GateKind
 
 PARAMS = DeviceParams()
 
@@ -205,6 +208,15 @@ class TestParamValidation:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             DeviceParams(**kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DeviceParams(v_ref=0.4),
+        lambda: SimConfig(dt=0.0),
+        lambda: GateInstance(GateKind.MNOT, params=DeviceParams(v_ox=0.25)),  # v_con 0.3 V would potentiate
+    ])
+    def test_setting_errors_are_config_errors(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
     def test_state_bounds_enforced(self):
         with pytest.raises(ValueError):

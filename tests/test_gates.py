@@ -10,7 +10,6 @@ from memlogic.gates import (
     R_OFF_CAP,
     GateInstance,
     GateKind,
-    make_gate,
     mand_effective_voltage,
     mor_effective_voltage,
 )
@@ -50,32 +49,32 @@ class TestArity:
 
     def test_step_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
-            make_gate(GateKind.MNOT).step([0.1, 0.1], 1.0)
+            GateInstance(GateKind.MNOT).step([0.1, 0.1], 1.0)
         with pytest.raises(ValueError):
-            make_gate(GateKind.MOR).step([0.1], 1.0)
+            GateInstance(GateKind.MOR).step([0.1], 1.0)
 
 
 class TestMor:
     def test_single_active_input_potentiates(self):
-        gate = make_gate(GateKind.MOR)
+        gate = GateInstance(GateKind.MOR)
         out = drive_gate(gate, (0.6, 0.1), 300)
         want = closed_form_current(300.0)
         assert abs(out - want) / want < 1e-12
         assert abs(want - 3.632e-7) < 1e-10
 
     def test_both_low_holds(self):
-        gate = make_gate(GateKind.MOR)
+        gate = GateInstance(GateKind.MOR)
         out = drive_gate(gate, (0.1, 0.1), 200)
         assert out == 0.0
         assert gate.state == MemristorState(1.0, 1.0)
 
     def test_duration_law_split_equals_contiguous(self):
         """Output depends on cumulative activation, not on its segmentation."""
-        split = make_gate(GateKind.MOR)
+        split = GateInstance(GateKind.MOR)
         drive_gate(split, (0.6, 0.1), 100)
         drive_gate(split, (0.1, 0.1), 100)
         drive_gate(split, (0.1, 0.6), 200)   # resumes on the other input
-        contiguous = make_gate(GateKind.MOR)
+        contiguous = GateInstance(GateKind.MOR)
         drive_gate(contiguous, (0.6, 0.1), 300)
         assert split.state == contiguous.state
 
@@ -83,58 +82,58 @@ class TestMor:
     @settings(deadline=None)
     def test_duration_law_random_interruptions(self, gaps):
         active_chunks = [25] * (len(gaps) + 1)
-        split = make_gate(GateKind.MOR)
+        split = GateInstance(GateKind.MOR)
         for chunk, gap in zip(active_chunks, gaps + [0]):
             drive_gate(split, (0.6, 0.1), chunk)
             if gap:
                 drive_gate(split, (0.1, 0.1), gap)
-        contiguous = make_gate(GateKind.MOR)
+        contiguous = GateInstance(GateKind.MOR)
         drive_gate(contiguous, (0.6, 0.1), sum(active_chunks))
         assert split.state == contiguous.state
 
 
 class TestMand:
     def test_single_input_never_reinforces(self):
-        gate = make_gate(GateKind.MAND)
+        gate = GateInstance(GateKind.MAND)
         for _ in range(400):
             out = gate.step([0.6, 0.1], 1.0)
             assert out == 0.0
         assert gate.state == MemristorState(1.0, 1.0)
 
     def test_both_inputs_reinforce(self):
-        gate = make_gate(GateKind.MAND)
+        gate = GateInstance(GateKind.MAND)
         out = drive_gate(gate, (0.6, 0.6), 300)
         want = closed_form_current(300.0)
         assert abs(out - want) / want < 1e-12
 
     def test_coincidence_law(self):
         """Only simultaneous activation counts; alternating is a no-op."""
-        overlap = make_gate(GateKind.MAND)
+        overlap = GateInstance(GateKind.MAND)
         drive_gate(overlap, (0.6, 0.1), 80)    # alone
         drive_gate(overlap, (0.6, 0.6), 75)    # together
         drive_gate(overlap, (0.1, 0.6), 120)   # alone, other side
         drive_gate(overlap, (0.6, 0.6), 75)    # together again
-        contiguous = make_gate(GateKind.MAND)
+        contiguous = GateInstance(GateKind.MAND)
         drive_gate(contiguous, (0.6, 0.6), 150)
         assert overlap.state == contiguous.state
 
 
 class TestMnot:
     def test_fresh_output_is_near_rail(self):
-        gate = make_gate(GateKind.MNOT)
+        gate = GateInstance(GateKind.MNOT)
         want = gate.v_rail * R_OFF_CAP / (gate.r1 + gate.r2 + R_OFF_CAP)
         assert gate.output_voltage() == pytest.approx(want, rel=1e-12)
         assert gate.output_voltage() >= 0.98 * gate.v_rail
 
     def test_on_resistance_floor(self):
-        gate = make_gate(GateKind.MNOT)
+        gate = GateInstance(GateKind.MNOT)
         gate.state = MemristorState(0.0, 0.0)  # on-resistance 1.5e6 ohm
         ratio = 1.5e6 / (1e6 + 1e7 + 1.5e6)
         assert ratio == pytest.approx(0.12)
         assert gate.output_voltage() == pytest.approx(gate.v_rail * ratio, rel=1e-12)
 
     def test_constant_source_alone_is_nonvolatile(self):
-        gate = make_gate(GateKind.MNOT)
+        gate = GateInstance(GateKind.MNOT)
         out0 = gate.output_voltage()
         for _ in range(1000):
             gate.step([0.1], 1.0)
@@ -142,7 +141,7 @@ class TestMnot:
         assert gate.output_voltage() == out0
 
     def test_active_input_inverts(self):
-        gate = make_gate(GateKind.MNOT)
+        gate = GateInstance(GateKind.MNOT)
         out = drive_gate(gate, (0.6,), 300)
         g = model_current(gate.state, PARAMS) / PARAMS.v_ref
         want = gate.v_rail * (1 / g) / (gate.r1 + gate.r2 + 1 / g)
@@ -152,13 +151,13 @@ class TestMnot:
     def test_inhibition_depth_grows_with_duration(self):
         outputs = []
         for ms in (20, 60, 150, 300):
-            gate = make_gate(GateKind.MNOT)
+            gate = GateInstance(GateKind.MNOT)
             outputs.append(drive_gate(gate, (0.6,), ms))
         assert outputs == sorted(outputs, reverse=True)
         assert all(o > 0.0 for o in outputs)
 
     def test_hold_after_input_removed(self):
-        gate = make_gate(GateKind.MNOT)
+        gate = GateInstance(GateKind.MNOT)
         drive_gate(gate, (0.6,), 100)
         frozen = gate.output_voltage()
         drive_gate(gate, (0.1,), 200)
@@ -167,15 +166,15 @@ class TestMnot:
 
 class TestNormalizedOutput:
     def test_fresh_is_zero(self):
-        assert make_gate(GateKind.MOR).normalized_output() == 0.0
+        assert GateInstance(GateKind.MOR).normalized_output() == 0.0
 
     def test_saturated_is_one(self):
-        gate = make_gate(GateKind.MAND)
+        gate = GateInstance(GateKind.MAND)
         gate.state = MemristorState(0.0, 0.0)
         assert gate.normalized_output() == pytest.approx(1.0, rel=1e-12)
 
     def test_mid_trajectory_value(self):
-        gate = make_gate(GateKind.MOR)
+        gate = GateInstance(GateKind.MOR)
         drive_gate(gate, (0.6, 0.1), 30)
         want = closed_form_current(30.0) / PARAMS.c
         assert gate.normalized_output() == pytest.approx(want, rel=1e-12)
@@ -183,7 +182,7 @@ class TestNormalizedOutput:
 
     def test_rejects_mnot(self):
         with pytest.raises(ValueError):
-            make_gate(GateKind.MNOT).normalized_output()
+            GateInstance(GateKind.MNOT).normalized_output()
 
 
 class TestMnotConfigValidation:

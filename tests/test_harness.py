@@ -13,8 +13,6 @@ from memlogic.harness import (
     default_characterization_schedule,
     fixture_text,
     make_pattern_stimulus,
-    mnot_minimum_across,
-    pattern_experiment,
     run_pattern,
 )
 from memlogic.netlist import parse_stimulus, topological_order
@@ -102,7 +100,8 @@ class TestMnotFloor:
     def test_global_minimum_brackets_reported_floor(self):
         graph = build_full_adder()
         traces = [run_pattern(*bits, cfg=CFG)[0] for bits in ((0, 1, 0), (1, 0, 1))]
-        floor = mnot_minimum_across(traces, graph)
+        mnot_ids = [n.id for n in graph.nodes if n.kind is GateKind.MNOT]
+        floor = min(min(trace.column(f"g{i}")) for trace in traces for i in mnot_ids)
         assert 0.07 <= floor <= 0.13
         # regression: the realized floor sits near 0.104-0.108
         assert 0.10 < floor < 0.115
@@ -188,8 +187,3 @@ class TestCharacterization:
         assert out[0] >= 0.98 * 0.8
         assert out[k_off] < out[k_onset]
         assert out[-1] == out[k_off + 1]                            # nonvolatile after pulse
-
-    def test_experiment_checks_reference_existing_nets(self):
-        exp = pattern_experiment(0, 1, 0, CFG)
-        net_names = set(exp.graph.probes) | set(exp.graph.inputs)
-        assert all(check.net in net_names for check in exp.checks)

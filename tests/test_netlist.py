@@ -109,6 +109,11 @@ class TestParseCircuit:
         assert exc.value.line == 3
         assert exc.value.column == 6
 
+    def test_name_reserved_for_a_later_gate_column_carries_its_line(self):
+        with pytest.raises(DuplicateError, match="'g2'") as exc:
+            parse_circuit("input g2\ninput B\ngate 1 MOR g2 B\ngate 2 MNOT 1\n")
+        assert exc.value.line == 1
+
 
 class TestTopologicalOrder:
     def test_single_gate(self):
