@@ -20,7 +20,7 @@ from .device import ConfigError, DeviceParams
 from .engine import SimConfig, simulate, write_trace
 from .gates import GateKind
 from .harness import characterize_gate, default_characterization_schedule, run_pattern
-from .netlist import NetlistError, parse_circuit, parse_stimulus
+from .netlist import NetlistError, check_drives, parse_circuit, parse_stimulus
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -32,7 +32,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> tuple[SimConfig, DeviceParams]:
-    return SimConfig(dt=args.dt, horizon=args.horizon, b=args.b), DeviceParams(v_ox=args.vox, v_red=args.vred)
+    """The run's config and device params; warn on stderr when the dt grid cuts the horizon short."""
+    cfg = SimConfig(dt=args.dt, horizon=args.horizon, b=args.b)
+    params = DeviceParams(v_ox=args.vox, v_red=args.vred)
+    end = cfg.steps * cfg.dt
+    if abs(end - cfg.horizon) > 1e-9 * cfg.horizon:
+        print(f"warning: horizon {cfg.horizon:g} ms is not a whole number of {cfg.dt:g} ms steps; "
+              f"the last record is at {end:g} ms", file=sys.stderr)
+    return cfg, params
 
 
 def _read(path: str) -> str:
@@ -89,6 +96,7 @@ def cmd_check(args: argparse.Namespace) -> int:
           f"probes {', '.join(name for name, _ in graph.outputs)}")
     if args.stimulus:
         stimulus = parse_stimulus(_read(args.stimulus))
+        check_drives(graph, stimulus)
         print(f"stimulus OK: terminals {', '.join(stimulus.terminals)}, "
               f"horizon {stimulus.horizon_ms:g} ms")
     return 0

@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 
 # ``model_current`` stays importable from this module for callers that look it up here.
 from .device import ConfigError, DeviceParams, MemristorState, model_current  # noqa: F401
-from .gates import R_OFF_CAP, GateInstance, GateKind, mand_effective_voltage, mor_effective_voltage
-from .netlist import CircuitGraph, CoverageError, Stimulus, UnknownTerminalError, topological_order
+from .gates import R_OFF_CAP, GateInstance, GateKind
+from .netlist import CircuitGraph, CoverageError, Stimulus, check_drives, topological_order
 
 AMBIGUOUS = "ambiguous"
 
@@ -79,19 +80,20 @@ class Trace:
     """Per-timestep record of every node voltage and device state, as one table.
 
     ``columns`` maps each CSV column name to its series, in CSV order:
-    ``t_ms``, the input terminals, the probes (each the same list as its
-    gate's series), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
-    ``g<ID>_x2`` per gate.
+    ``t_ms``, the input terminals, the probes (each the same series as its
+    gate's), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
+    ``g<ID>_x2`` per gate.  ``simulate`` packs every series as an
+    ``array("d")``, 8 bytes a value; a hand-built table of lists reads the same.
     """
 
     config: SimConfig
-    columns: dict[str, list[float]]
+    columns: dict[str, array]
 
     @property
-    def times(self) -> list[float]:
+    def times(self) -> array:
         return self.columns["t_ms"]
 
-    def column(self, net: str) -> list[float]:
+    def column(self, net: str) -> array:
         """Series of one column: an input, a probe, ``g<ID>`` or a device internal."""
         try:
             return self.columns[net]
@@ -125,9 +127,12 @@ class Trace:
         return "".join(self.csv_lines())
 
     def metadata(self, fixture_texts: dict[str, str] | None = None, params: DeviceParams | None = None) -> dict:
-        """JSON-serializable sidecar: config and device params echo (null if not given), columns, fixture hashes."""
+        """JSON-serializable sidecar: package version, config and device params echo (null if not given),
+        columns, fixture hashes."""
+        from . import __version__
+
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
-        return {"config": asdict(self.config), "params": asdict(params) if params else None,
+        return {"version": __version__, "config": asdict(self.config), "params": asdict(params) if params else None,
                 "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
@@ -171,17 +176,19 @@ def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> list[float]:
     return out
 
 
-def _run_gate(gate: GateInstance, sources: list[list[float]], dt: float, b: float):
-    """Advance one gate through every step; return its voltage, current, x1 and x2 series.
+def _run_gate(gate: GateInstance, sources: list[array], dt: float, b: float):
+    """Advance one gate through every step; return its voltage, current, x1 and x2 series, packed.
 
     ``sources`` are the drivers' voltage series.  The final device state
-    is written back to ``gate.state``.
+    is written back to ``gate.state``.  The loops run on lists, whose
+    ``append`` is fastest, and each finished series is packed once.
     """
     p = gate.params
+    # The drives are the expressions of ``mor_effective_voltage`` and ``mand_effective_voltage``, inlined.
     if gate.kind is GateKind.MOR:
-        drive = list(map(mor_effective_voltage, *sources))
+        drive = list(map(max, *sources))
     elif gate.kind is GateKind.MAND:
-        drive = list(map(mand_effective_voltage, *sources))
+        drive = [(u + w) / 2.0 for u, w in zip(*sources)]
     else:
         # The summing stage adds the constant source to the input.
         v_con = gate.v_con
@@ -206,6 +213,8 @@ def _run_gate(gate: GateInstance, sources: list[list[float]], dt: float, b: floa
 
     a1, a2, c, v_ref = p.a1, p.a2, p.c, p.v_ref
     currents = [a1 * u + a2 * w + c for u, w in zip(x1s, x2s)]
+    x1s = array("d", x1s)
+    x2s = array("d", x2s)
     if gate.kind is GateKind.MNOT:
         # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
         r12, v_rail, g_off = gate.r1 + gate.r2, gate.v_rail, 1.0 / R_OFF_CAP
@@ -217,7 +226,7 @@ def _run_gate(gate: GateInstance, sources: list[list[float]], dt: float, b: floa
     else:
         # Ohmic readout at the drive, then the B conversion to a node voltage.
         volts = [i / v_ref * v * b for i, v in zip(currents, drive)]
-    return volts, currents, x1s, x2s
+    return array("d", volts), array("d", currents), x1s, x2s
 
 
 def simulate(
@@ -235,9 +244,7 @@ def simulate(
     instance.
     """
     cfg = cfg or SimConfig()
-    for name in graph.inputs:
-        if name not in stimulus.terminals:
-            raise UnknownTerminalError(f"stimulus does not drive circuit input {name!r}")
+    check_drives(graph, stimulus)
     if stimulus.horizon_ms < cfg.horizon:
         raise CoverageError(
             f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
@@ -245,16 +252,17 @@ def simulate(
     names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
     names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
     # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
-    columns: dict[str, list[float]] = dict.fromkeys(names)
+    columns: dict[str, array] = dict.fromkeys(names)
     if gates is None:
         gates = build_gates(graph, params)
     else:
         _check_gates(graph, gates)
 
-    dt = cfg.dt
-    starts = [k * dt for k in range(cfg.steps)]
+    dt, steps = cfg.dt, cfg.steps
+    starts = [k * dt for k in range(steps)]
     for name in graph.inputs:
-        columns[name] = _sample(stimulus, name, starts)
+        columns[name] = array("d", _sample(stimulus, name, starts))
+    del starts
     for gate_id in topological_order(graph):
         sources = [columns[src if isinstance(src, str) else f"g{src}"] for src in nodes[gate_id].sources]
         g = f"g{gate_id}"
@@ -263,7 +271,7 @@ def simulate(
     for name, gate_id in graph.outputs:
         columns[name] = columns[f"g{gate_id}"]
     # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.
-    columns["t_ms"] = [t0 + dt for t0 in starts]
+    columns["t_ms"] = array("d", [k * dt + dt for k in range(steps)])
     return Trace(cfg, columns)
 
 

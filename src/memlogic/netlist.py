@@ -136,6 +136,13 @@ class Stimulus:
         raise UnknownTerminalError(f"unknown terminal {terminal!r}")
 
 
+def check_drives(graph: CircuitGraph, stimulus: Stimulus) -> None:
+    """Raise ``UnknownTerminalError`` naming the first circuit input the stimulus does not drive."""
+    for name in graph.inputs:
+        if name not in stimulus.terminals:
+            raise UnknownTerminalError(f"stimulus does not drive circuit input {name!r}")
+
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = ("name %r is taken by a trace column: input and probe names "
              "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")

@@ -124,6 +124,38 @@ def test_check_rejects_a_name_reserved_for_a_trace_column(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_check_rejects_a_stimulus_that_leaves_an_input_undriven(tmp_path, capsys):
+    partial = tmp_path / "ab_only.mls"
+    partial.write_text("A: 0..400=0.6\nB: 0..400=0.1\n")
+    assert main(["check", "--circuit", ADDER, "--stimulus", str(partial)]) == 2
+    check_err = capsys.readouterr().err
+    assert check_err == "error: stimulus does not drive circuit input 'CIN'\n"
+    assert main(["run", "--circuit", ADDER, "--stimulus", str(partial), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == check_err
+
+
+@pytest.mark.parametrize("dt, cut", [("0.7", True), ("1", False), ("0.01", False)])
+def test_horizon_cut_by_the_dt_grid_is_reported(tmp_path, capsys, dt, cut):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), "--dt", dt]) == 0
+    err = capsys.readouterr().err
+    if cut:
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert "399.7 ms" in err
+        assert out.read_text().splitlines()[-1].startswith("3.99700000e+02,")
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", [["adder"], ["characterize", "--gate", "MNOT"]])
+def test_adder_and_characterize_report_a_horizon_cut(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")]
+    assert main([*command, *out, "--dt", "0.7"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "399.7 ms" in err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["check", "--circuit", "/nonexistent/file.mlc"]) == 2
     assert "error" in capsys.readouterr().err

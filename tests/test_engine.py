@@ -1,9 +1,12 @@
 """Engine semantics: conversion, propagation, determinism, readout."""
 
 import math
+import tracemalloc
+from array import array
 
 import pytest
 
+import memlogic
 from memlogic.device import DeviceParams
 from memlogic.engine import (
     AMBIGUOUS,
@@ -207,6 +210,41 @@ class TestTraceExport:
         assert meta["records"] == 400
         assert meta["config"]["b"] == 1.5e6
         assert len(meta["fixtures"]["circuit"]) == 64
+        assert meta["version"] == memlogic.__version__
+
+
+class TestPackedTrace:
+    """``simulate`` stores every series as packed doubles, with the same values and CSV bytes."""
+
+    def test_every_column_is_a_double_array_and_probes_alias_their_gate(self):
+        graph = build_full_adder()
+        trace = simulate(graph, make_pattern_stimulus(1, 0, 1))
+        for name, series in trace.columns.items():
+            assert isinstance(series, array) and series.typecode == "d", name
+        for name, gate_id in graph.outputs:
+            assert trace.column(name) is trace.column(f"g{gate_id}")
+
+    def test_peak_memory_per_trace_cell(self):
+        # A boxed float in a list costs 24 bytes a cell, a packed double 8.
+        cfg = SimConfig(dt=0.05)
+        graph, stim = build_full_adder(), make_pattern_stimulus(1, 0, 1, cfg)
+        tracemalloc.start()
+        try:
+            trace = simulate(graph, stim, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(trace.columns) * len(trace.times)
+
+    def test_csv_lines_render_arrays_as_lists(self):
+        values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1]
+        cfg = SimConfig(horizon=float(len(values)))
+        times = [float(i + 1) for i in range(len(values))]
+        listed = Trace(cfg, {"t_ms": times, "NET": values})
+        packed = Trace(cfg, {"t_ms": array("d", times), "NET": array("d", values)})
+        lines = list(packed.csv_lines())
+        assert lines == list(listed.csv_lines())
+        assert [line.split(",")[1] for line in lines[1:4]] == ["-0.00000000e+00\n", "0.00000000e+00\n", "inf\n"]
 
 
 def synthetic_trace(values, cfg=None) -> Trace:
