@@ -10,20 +10,12 @@ from .device import (
     ConfigError,
     DeviceParams,
     MemristorState,
-    conductance,
-    device_current,
     model_current,
     new_state,
     step,
 )
 from .engine import AMBIGUOUS, SimConfig, Trace, read_binary, settle_time, simulate, write_trace
-from .gates import (
-    R_OFF_CAP,
-    GateInstance,
-    GateKind,
-    mand_effective_voltage,
-    mor_effective_voltage,
-)
+from .gates import R_OFF_CAP, GateInstance, GateKind
 from .harness import (
     Verdict,
     adder_truth,
@@ -82,12 +74,8 @@ __all__ = [
     "adder_truth",
     "build_full_adder",
     "characterize_gate",
-    "conductance",
-    "device_current",
     "make_pattern_stimulus",
-    "mand_effective_voltage",
     "model_current",
-    "mor_effective_voltage",
     "new_state",
     "parse_circuit",
     "parse_stimulus",

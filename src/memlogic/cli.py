@@ -24,11 +24,15 @@ from .netlist import NetlistError, check_drives, parse_circuit, parse_stimulus
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dt", type=float, default=1.0, help="timestep in ms (default 1)")
-    parser.add_argument("--horizon", type=float, default=400.0, help="total simulated time in ms (default 400)")
-    parser.add_argument("--b", type=float, default=1.5e6, help="current-to-voltage constant in ohms")
-    parser.add_argument("--vox", type=float, default=0.5, help="oxidation potential in volts")
-    parser.add_argument("--vred", type=float, default=-0.1, help="reduction potential in volts")
+    parser.add_argument("--dt", type=float, default=SimConfig.dt, help="timestep in ms (default %(default)s)")
+    parser.add_argument("--horizon", type=float, default=SimConfig.horizon,
+                        help="total simulated time in ms (default %(default)s)")
+    parser.add_argument("--b", type=float, default=SimConfig.b,
+                        help="current-to-voltage constant in ohms (default %(default)s)")
+    parser.add_argument("--vox", type=float, default=DeviceParams.v_ox,
+                        help="oxidation potential in volts (default %(default)s)")
+    parser.add_argument("--vred", type=float, default=DeviceParams.v_red,
+                        help="reduction potential in volts (default %(default)s)")
 
 
 def _config_from(args: argparse.Namespace) -> tuple[SimConfig, DeviceParams]:

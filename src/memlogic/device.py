@@ -93,27 +93,14 @@ def model_current(state: MemristorState, params: DeviceParams) -> float:
     return params.a1 * state.x1 + params.a2 * state.x2 + params.c
 
 
-def conductance(state: MemristorState, params: DeviceParams) -> float:
-    """Ohmic conductance implied by the current state, in siemens."""
-    return model_current(state, params) / params.v_ref
-
-
-def device_current(state: MemristorState, params: DeviceParams, v_applied: float) -> float:
-    """Readout current at an arbitrary bias.
-
-    Readout is purely ohmic at the present conductance and never alters
-    the state; state only evolves through :func:`step`.
-    """
-    return conductance(state, params) * v_applied
-
-
 def step(state: MemristorState, params: DeviceParams, v_applied: float, dt: float) -> MemristorState:
     """Advance the state by ``dt`` milliseconds under a constant bias.
 
     At or above the oxidation potential the coordinates decay toward 0
     (potentiation); at or below the reduction potential they relax toward
     1 (depression); strictly inside the hold window the state is returned
-    unchanged, bit for bit.
+    unchanged, bit for bit.  This is the device spec: ``GateInstance.run``
+    applies the same updates with the factors taken out of its step loop.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -11,14 +11,13 @@ voltages through the proportionality constant ``b`` (V = I * b), chosen so
 that a fully saturated device driven at logic-1 reproduces logic-1 at the
 next input.  MNOT outputs are voltages already and pass through unchanged.
 
-:func:`simulate` compiles the run once: every input terminal is sampled
-into a column, and each gate's constants, including its four
-``exp(-dt/tau)`` factors, are taken out of the step loop.  The netlist is
-acyclic, so at step k a gate depends only on its drivers at step k and on
-its own state; the engine therefore runs one gate at a time through every
-step, in topological order, reading its drivers' finished columns.  Each
-value comes from the same float operations, in the same order, as
-stepping the :class:`~memlogic.gates.GateInstance` objects would give.
+:func:`simulate` samples every input terminal into a column once.  The
+netlist is acyclic, so at step k a gate depends only on its drivers at
+step k and on its own state; the engine therefore runs one gate at a time
+through every step, in topological order, with
+:meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
+columns.  Each value comes from the same float operations, in the same
+order, as stepping the gate one step at a time would give.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 
-# ``model_current`` stays importable from this module for callers that look it up here.
-from .device import ConfigError, DeviceParams, MemristorState, model_current  # noqa: F401
-from .gates import R_OFF_CAP, GateInstance, GateKind
+from .device import ConfigError, DeviceParams
+# ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
+from .device import model_current  # noqa: F401
+from .gates import GateInstance
 from .netlist import CircuitGraph, CoverageError, Stimulus, check_drives, topological_order
 
 AMBIGUOUS = "ambiguous"
@@ -176,59 +176,6 @@ def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> list[float]:
     return out
 
 
-def _run_gate(gate: GateInstance, sources: list[array], dt: float, b: float):
-    """Advance one gate through every step; return its voltage, current, x1 and x2 series, packed.
-
-    ``sources`` are the drivers' voltage series.  The final device state
-    is written back to ``gate.state``.  The loops run on lists, whose
-    ``append`` is fastest, and each finished series is packed once.
-    """
-    p = gate.params
-    # The drives are the expressions of ``mor_effective_voltage`` and ``mand_effective_voltage``, inlined.
-    if gate.kind is GateKind.MOR:
-        drive = list(map(max, *sources))
-    elif gate.kind is GateKind.MAND:
-        drive = [(u + w) / 2.0 for u, w in zip(*sources)]
-    else:
-        # The summing stage adds the constant source to the input.
-        v_con = gate.v_con
-        drive = [v + v_con for v in sources[0]]
-
-    e1p, e2p = math.exp(-dt / p.t1), math.exp(-dt / p.t2)
-    e1d, e2d = math.exp(-dt / p.t1_dep), math.exp(-dt / p.t2_dep)
-    v_ox, v_red = p.v_ox, p.v_red
-    x1, x2 = gate.state.x1, gate.state.x2
-    x1s: list[float] = []
-    x2s: list[float] = []
-    for v in drive:
-        if v >= v_ox:
-            x1 = x1 * e1p
-            x2 = x2 * e2p
-        elif v <= v_red:
-            x1 = 1.0 - (1.0 - x1) * e1d
-            x2 = 1.0 - (1.0 - x2) * e2d
-        x1s.append(x1)
-        x2s.append(x2)
-    gate.state = MemristorState(x1, x2)
-
-    a1, a2, c, v_ref = p.a1, p.a2, p.c, p.v_ref
-    currents = [a1 * u + a2 * w + c for u, w in zip(x1s, x2s)]
-    x1s = array("d", x1s)
-    x2s = array("d", x2s)
-    if gate.kind is GateKind.MNOT:
-        # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
-        r12, v_rail, g_off = gate.r1 + gate.r2, gate.v_rail, 1.0 / R_OFF_CAP
-        volts = []
-        for i in currents:
-            g = i / v_ref
-            r_m = R_OFF_CAP if g <= g_off else 1.0 / g
-            volts.append(v_rail * r_m / (r12 + r_m))
-    else:
-        # Ohmic readout at the drive, then the B conversion to a node voltage.
-        volts = [i / v_ref * v * b for i, v in zip(currents, drive)]
-    return array("d", volts), array("d", currents), x1s, x2s
-
-
 def simulate(
     graph: CircuitGraph,
     stimulus: Stimulus,
@@ -266,8 +213,8 @@ def simulate(
     for gate_id in topological_order(graph):
         sources = [columns[src if isinstance(src, str) else f"g{src}"] for src in nodes[gate_id].sources]
         g = f"g{gate_id}"
-        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"] = _run_gate(
-            gates[gate_id], sources, dt, cfg.b)
+        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"] = gates[gate_id].run(
+            sources, dt, cfg.b)
     for name, gate_id in graph.outputs:
         columns[name] = columns[f"g{gate_id}"]
     # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.

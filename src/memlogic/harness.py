@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .device import DeviceParams
 from .engine import SimConfig, Trace, read_binary, simulate
-from .gates import GateInstance, GateKind
+from .gates import GateKind
 from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
 
 ONSET_MS = 100.0
@@ -72,17 +72,16 @@ class Verdict:
 
 
 def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
-                gates: dict[int, GateInstance] | None = None,
                 params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
     """Simulate one adder pattern and check SUM, then COUT, against the truth table at the horizon.
 
-    The devices are the given ``gates``, or fresh ones with ``params``.
+    Every device starts fresh, with ``params``.
     """
     for bit in (a, b, cin):
         if bit not in (0, 1):
             raise ValueError("pattern bits must be 0 or 1")
     cfg = cfg or SimConfig()
-    trace = simulate(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params=params, gates=gates)
+    trace = simulate(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params=params)
     verdicts = []
     for net, expected in zip(("SUM", "COUT"), adder_truth(a, b, cin)):
         got = read_binary(trace, net, cfg.horizon, cfg)

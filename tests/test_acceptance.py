@@ -99,8 +99,8 @@ def test_criterion_04_mor_duration_additivity():
     contiguous = GateInstance(GateKind.MOR)
     for _ in range(300):
         contiguous.step([0.6, 0.1], 1.0)
-    a = split.normalized_output()
-    b = contiguous.normalized_output()
+    a = model_current(split.state, split.params) / split.params.c
+    b = model_current(contiguous.state, contiguous.params) / contiguous.params.c
     rel = abs(a - b) / b
     ok = rel < 1e-12
     report(4, ok, f"split {a:.15f} vs contiguous {b:.15f}, rel err {rel:.2e} (tol 1e-12)")
@@ -129,7 +129,9 @@ def test_criterion_05_mand_coincidence():
     contiguous = GateInstance(GateKind.MAND)
     for _ in range(150):
         contiguous.step([0.6, 0.6], 1.0)
-    rel = abs(overlap.normalized_output() - contiguous.normalized_output()) / contiguous.normalized_output()
+    a = model_current(overlap.state, overlap.params) / overlap.params.c
+    b = model_current(contiguous.state, contiguous.params) / contiguous.params.c
+    rel = abs(a - b) / b
 
     ok = no_change and rel < 1e-12
     report(5, ok, f"alternating drift: none={no_change}; 150 ms overlap vs contiguous rel err {rel:.2e}")
@@ -140,7 +142,8 @@ def test_criterion_05_mand_coincidence():
 def test_criterion_06_mnot_inversion():
     """Fresh inverter sits at the rail; 300 ms of drive pulls it to the floor."""
     gate = GateInstance(GateKind.MNOT)
-    pre = gate.output_voltage()
+    pre = gate.step([0.1], 1.0)  # logic 0 keeps the device in its hold window
+    assert gate.state == new_state()
     for _ in range(300):
         out = gate.step([0.6], 1.0)
     ok = pre >= 0.98 * gate.v_rail and 0.07 <= out <= 0.13

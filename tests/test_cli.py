@@ -5,8 +5,9 @@ from dataclasses import asdict
 
 import pytest
 
-from memlogic.cli import main
+from memlogic.cli import _config_from, build_parser, main
 from memlogic.device import DeviceParams
+from memlogic.engine import SimConfig
 from memlogic.harness import fixture_dir
 
 
@@ -23,6 +24,12 @@ def test_run_writes_csv_and_sidecar(tmp_path, capsys):
     meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
     assert meta["records"] == 400
     assert set(meta["fixtures"]) == {"circuit", "stimulus"}
+
+
+def test_flag_defaults_are_the_config_defaults(capsys):
+    args = build_parser().parse_args(["adder"])
+    assert _config_from(args) == (SimConfig(), DeviceParams())
+    assert capsys.readouterr().err == ""
 
 
 def test_sidecar_records_device_params(tmp_path):

@@ -10,8 +10,6 @@ from memlogic.device import (
     ConfigError,
     DeviceParams,
     MemristorState,
-    conductance,
-    device_current,
     model_current,
     new_state,
     step,
@@ -62,31 +60,46 @@ class TestModelCurrent:
         assert abs(want - 1.9915e-7) < 1e-11
 
 
+def device_current(state: MemristorState, v_applied: float) -> float:
+    """Readout current at a hold-window bias: one step of an MOR gate with the device in ``state``."""
+    assert PARAMS.v_red < v_applied < PARAMS.v_ox
+    gate = GateInstance(GateKind.MOR, params=PARAMS, state=state)
+    out = gate.step([v_applied, v_applied], 1.0)
+    assert gate.state == state  # readout never alters the state
+    return out
+
+
+def conductance(state: MemristorState) -> float:
+    return device_current(state, 0.3) / 0.3
+
+
 class TestConductance:
     def test_fresh(self):
-        assert conductance(new_state(1.0), PARAMS) == 0.0
+        assert conductance(new_state(1.0)) == 0.0
 
     def test_saturated(self):
         want = PARAMS.c / PARAMS.v_ref  # 6.667e-7 S, on-resistance 1.5e6 ohm
-        assert rel_err(conductance(new_state(0.0), PARAMS), want) < 1e-12
+        assert rel_err(conductance(new_state(0.0)), want) < 1e-12
         assert abs(want - 6.667e-7) < 1e-10
 
     def test_mid_state(self):
         s = MemristorState(math.exp(-1.0), math.exp(-0.1))
         want = closed_form_current(30.0) / 0.6
-        assert rel_err(conductance(s, PARAMS), want) < 1e-12
+        assert rel_err(conductance(s), want) < 1e-12
         assert abs(want - 3.319e-7) < 1e-10
 
 
 class TestDeviceCurrent:
     def test_saturated_at_reference(self):
-        assert rel_err(device_current(new_state(0.0), PARAMS, 0.6), 4e-7) < 1e-12
+        # v_ref potentiates, which leaves a saturated device saturated
+        gate = GateInstance(GateKind.MOR, params=PARAMS, state=new_state(0.0))
+        assert rel_err(gate.step([0.6, 0.6], 1.0), 4e-7) < 1e-12
 
     def test_zero_bias(self):
-        assert device_current(MemristorState(0.3, 0.7), PARAMS, 0.0) == 0.0
+        assert device_current(MemristorState(0.3, 0.7), 0.0) == 0.0
 
     def test_half_reference(self):
-        assert rel_err(device_current(new_state(0.0), PARAMS, 0.3), 2e-7) < 1e-12
+        assert rel_err(device_current(new_state(0.0), 0.3), 2e-7) < 1e-12
 
 
 class TestStep:

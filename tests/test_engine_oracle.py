@@ -1,26 +1,50 @@
 """Differential test: the compiled engine against the object-per-gate reference loop.
 
-``reference_simulate`` is the step-major engine the compiled one replaced:
-each step samples every input with ``Stimulus.value_at``, then steps each
-``GateInstance`` in topological order.  The property runs both on random
-acyclic netlists and piecewise stimuli and requires every recorded value
-and every final device state to match bit for bit (compared as
-``float.hex``, so signed zeros count).
+``reference_step`` is one gate step written out from the device spec: the
+drive by gate kind, ``device.step``, then the readout from
+``model_current``.  ``reference_simulate`` is the step-major engine the
+compiled one replaced: each step samples every input with
+``Stimulus.value_at``, then takes one ``reference_step`` per gate in
+topological order.  Neither calls gate code from ``src/``; a
+``GateInstance`` only holds a gate's kind, params, divider and state.  The
+properties run the engine on random acyclic netlists and piecewise
+stimuli, and ``GateInstance.step`` on random input sequences, and require
+every value and every final device state to match bit for bit (compared
+as ``float.hex``, so signed zeros count).
 """
 
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.device import DeviceParams, MemristorState, model_current
+from memlogic.device import DeviceParams, MemristorState, model_current, step
 from memlogic.engine import SimConfig, Trace, simulate
-from memlogic.gates import GateInstance, GateKind
+from memlogic.gates import R_OFF_CAP, GateInstance, GateKind
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit, topological_order
 
 
+def reference_step(gate: GateInstance, inputs, dt: float) -> float:
+    """Advance ``gate.state`` one step; return MOR/MAND's output current or MNOT's tap voltage."""
+    p = gate.params
+    if gate.kind is GateKind.MOR:
+        drive = max(inputs[0], inputs[1])
+    elif gate.kind is GateKind.MAND:
+        drive = (inputs[0] + inputs[1]) / 2.0
+    else:
+        drive = inputs[0] + gate.v_con
+    gate.state = step(gate.state, p, drive, dt)
+    current = model_current(gate.state, p)
+    if gate.kind is GateKind.MNOT:
+        g = current / p.v_ref
+        r_m = R_OFF_CAP if g <= 1.0 / R_OFF_CAP else 1.0 / g
+        return gate.v_rail * r_m / (gate.r1 + gate.r2 + r_m)
+    return current / p.v_ref * drive
+
+
 def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Trace:
-    """The object-per-gate engine: one ``GateInstance.step`` per gate per step.
+    """The object-per-gate engine: one ``reference_step`` per gate per step.
 
     It names and fills its own columns and calls no engine helper, so the
     comparison covers the engine's column layout too.
@@ -48,7 +72,7 @@ def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Tr
         for gate_id in order:
             node = nodes[gate_id]
             gate = gates[gate_id]
-            out = gate.step([net[src] for src in node.sources], cfg.dt)
+            out = reference_step(gate, [net[src] for src in node.sources], cfg.dt)
             net[gate_id] = out if node.kind is GateKind.MNOT else out * cfg.b
         columns["t_ms"].append(t0 + cfg.dt)
         for name in graph.inputs:
@@ -147,6 +171,33 @@ def test_compiled_engine_matches_reference_bit_for_bit(data):
     assert got.to_csv() == want.to_csv()
     if gates is not None:
         assert state_hex(gates) == state_hex(ref_gates)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gate_step_matches_reference_bit_for_bit(data):
+    kind = data.draw(st.sampled_from(list(GateKind)))
+    gate = GateInstance(kind=kind, params=data.draw(st.sampled_from(PARAMS)), **data.draw(DIVIDERS))
+    fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    gate.state = MemristorState(data.draw(fraction), data.draw(fraction))
+    ref = copy.deepcopy(gate)
+    steps = st.tuples(st.lists(VOLTS, min_size=kind.arity, max_size=kind.arity), DT)
+    for inputs, dt in data.draw(st.lists(steps, max_size=60)):
+        assert gate.step(inputs, dt).hex() == reference_step(ref, inputs, dt).hex()
+    assert state_hex({0: gate}) == state_hex({0: ref})
+
+
+def test_gate_step_matches_reference_at_threshold_edges_and_signed_zero_ties():
+    """Fixed cases the random properties rarely draw: drives at v_ox and v_red and one ulp
+    either side of each, on a trained device, and MOR ties between 0.0 and -0.0."""
+    for params in PARAMS:
+        edges = [e for v in (params.v_ox, params.v_red) for e in (math.nextafter(v, -1.0), v, math.nextafter(v, 1.0))]
+        for kind in (GateKind.MOR, GateKind.MAND):
+            gate = GateInstance(kind=kind, params=params, state=MemristorState(0.5, 0.25))
+            ref = copy.deepcopy(gate)
+            for inputs in [[v, v] for v in edges] + [[0.0, -0.0], [-0.0, 0.0]]:
+                assert gate.step(inputs, 1.0).hex() == reference_step(ref, inputs, 1.0).hex()
+            assert state_hex({0: gate}) == state_hex({0: ref})
 
 
 def test_fresh_run_matches_reference_under_default_params():

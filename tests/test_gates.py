@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import DeviceParams, MemristorState, model_current
-from memlogic.gates import (
-    R_OFF_CAP,
-    GateInstance,
-    GateKind,
-    mand_effective_voltage,
-    mor_effective_voltage,
-)
+from memlogic.gates import R_OFF_CAP, GateInstance, GateKind
 
 PARAMS = DeviceParams()
 
@@ -28,17 +22,28 @@ def drive_gate(gate: GateInstance, inputs, ms: int, dt: float = 1.0) -> float:
     return out
 
 
+def saturated_step(kind: GateKind, inputs) -> float:
+    """One step of a saturated gate, whose state no drive above v_red changes: the drive's ohmic current."""
+    gate = GateInstance(kind, state=MemristorState(0.0, 0.0))
+    return gate.step(list(inputs), 1.0)
+
+
+def ohmic(drive: float) -> float:
+    """A saturated device's readout current at ``drive``."""
+    return model_current(MemristorState(0.0, 0.0), PARAMS) / PARAMS.v_ref * drive
+
+
 class TestEffectiveVoltages:
     def test_mor_takes_stronger_input(self):
-        assert mor_effective_voltage(0.6, 0.1) == 0.6
-        assert mor_effective_voltage(0.1, 0.1) == 0.1
+        assert saturated_step(GateKind.MOR, (0.6, 0.1)) == ohmic(0.6)
+        assert saturated_step(GateKind.MOR, (0.1, 0.1)) == ohmic(0.1)
         # two active inputs must not overdrive beyond a single one
-        assert mor_effective_voltage(0.6, 0.6) == 0.6
+        assert saturated_step(GateKind.MOR, (0.6, 0.6)) == ohmic(0.6)
 
     def test_mand_halves_the_sum(self):
-        assert mand_effective_voltage(0.6, 0.6) == 0.6
-        assert mand_effective_voltage(0.6, 0.1) == 0.35
-        assert mand_effective_voltage(0.1, 0.1) == pytest.approx(0.1)
+        assert saturated_step(GateKind.MAND, (0.6, 0.6)) == ohmic(0.6)
+        assert saturated_step(GateKind.MAND, (0.6, 0.1)) == ohmic(0.35)
+        assert saturated_step(GateKind.MAND, (0.1, 0.1)) == pytest.approx(ohmic(0.1))
 
 
 class TestArity:
@@ -52,6 +57,11 @@ class TestArity:
             GateInstance(GateKind.MNOT).step([0.1, 0.1], 1.0)
         with pytest.raises(ValueError):
             GateInstance(GateKind.MOR).step([0.1], 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_step_rejects_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            GateInstance(GateKind.MOR).step([0.6, 0.1], dt)
 
 
 class TestMor:
@@ -119,26 +129,26 @@ class TestMand:
 
 
 class TestMnot:
+    # An input at logic 0 keeps the MNOT device in its hold window, so a step reads the present output.
     def test_fresh_output_is_near_rail(self):
         gate = GateInstance(GateKind.MNOT)
         want = gate.v_rail * R_OFF_CAP / (gate.r1 + gate.r2 + R_OFF_CAP)
-        assert gate.output_voltage() == pytest.approx(want, rel=1e-12)
-        assert gate.output_voltage() >= 0.98 * gate.v_rail
+        out = gate.step([0.1], 1.0)
+        assert out == pytest.approx(want, rel=1e-12)
+        assert out >= 0.98 * gate.v_rail
 
     def test_on_resistance_floor(self):
         gate = GateInstance(GateKind.MNOT)
         gate.state = MemristorState(0.0, 0.0)  # on-resistance 1.5e6 ohm
         ratio = 1.5e6 / (1e6 + 1e7 + 1.5e6)
         assert ratio == pytest.approx(0.12)
-        assert gate.output_voltage() == pytest.approx(gate.v_rail * ratio, rel=1e-12)
+        assert gate.step([0.1], 1.0) == pytest.approx(gate.v_rail * ratio, rel=1e-12)
 
     def test_constant_source_alone_is_nonvolatile(self):
         gate = GateInstance(GateKind.MNOT)
-        out0 = gate.output_voltage()
-        for _ in range(1000):
-            gate.step([0.1], 1.0)
+        outputs = {gate.step([0.1], 1.0) for _ in range(1000)}
         assert gate.state == MemristorState(1.0, 1.0)
-        assert gate.output_voltage() == out0
+        assert len(outputs) == 1
 
     def test_active_input_inverts(self):
         gate = GateInstance(GateKind.MNOT)
@@ -158,31 +168,30 @@ class TestMnot:
 
     def test_hold_after_input_removed(self):
         gate = GateInstance(GateKind.MNOT)
-        drive_gate(gate, (0.6,), 100)
-        frozen = gate.output_voltage()
-        drive_gate(gate, (0.1,), 200)
-        assert gate.output_voltage() == frozen
+        frozen = drive_gate(gate, (0.6,), 100)
+        assert drive_gate(gate, (0.1,), 200) == frozen
+
+
+def normalized_output(gate: GateInstance) -> float:
+    """Saturation fraction of the gate's device, in [0, 1]."""
+    return model_current(gate.state, gate.params) / gate.params.c
 
 
 class TestNormalizedOutput:
     def test_fresh_is_zero(self):
-        assert GateInstance(GateKind.MOR).normalized_output() == 0.0
+        assert normalized_output(GateInstance(GateKind.MOR)) == 0.0
 
     def test_saturated_is_one(self):
         gate = GateInstance(GateKind.MAND)
         gate.state = MemristorState(0.0, 0.0)
-        assert gate.normalized_output() == pytest.approx(1.0, rel=1e-12)
+        assert normalized_output(gate) == pytest.approx(1.0, rel=1e-12)
 
     def test_mid_trajectory_value(self):
         gate = GateInstance(GateKind.MOR)
         drive_gate(gate, (0.6, 0.1), 30)
         want = closed_form_current(30.0) / PARAMS.c
-        assert gate.normalized_output() == pytest.approx(want, rel=1e-12)
+        assert normalized_output(gate) == pytest.approx(want, rel=1e-12)
         assert abs(want - 0.4979) < 1e-4
-
-    def test_rejects_mnot(self):
-        with pytest.raises(ValueError):
-            GateInstance(GateKind.MNOT).normalized_output()
 
 
 class TestMnotConfigValidation:
