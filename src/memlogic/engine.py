@@ -35,6 +35,9 @@ from .gates import GateInstance
 from .netlist import CircuitGraph, CoverageError, Stimulus, check_drives, topological_order
 
 AMBIGUOUS = "ambiguous"
+# Records per CSV block.  Each block rebuilds its row template, which for a wide table
+# (ripple32: 1635 columns) costs more than it saves below about 256 rows.
+_CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,31 @@ class Trace:
         """Yield the CSV text line by line: the header, then one line per record.
 
         Values are in 9-significant-digit scientific notation; ``"%.8e"``
-        renders a float exactly as ``f"{v:.8e}"`` does.
+        renders a float exactly as ``f"{v:.8e}"`` does.  Records are rendered
+        in blocks of ``_CSV_BLOCK``.  A column whose doubles are bit-identical
+        across a block has its text written once into that block's row
+        template, and only the other columns are formatted per record.  This
+        is exact: the compare is bitwise, so ``-0.0``, NaN payloads and
+        ``inf`` are never merged with other values; the baked text is the same
+        ``%`` conversion of the same double; and ``"%.8e"`` text holds no
+        ``%`` to act as a conversion spec.
         """
         yield ",".join(self.columns) + "\n"
-        row_format = ",".join(["%.8e"] * len(self.columns)) + "\n"
-        yield from map(row_format.__mod__, zip(*self.columns.values()))
+        columns = [c if isinstance(c, array) else array("d", c) for c in self.columns.values()]
+        records = min(map(len, columns), default=0)
+        templates: dict[tuple, str] = {}  # keyed by each column's first bytes in the block, None if it varies
+        for a in range(0, records, _CSV_BLOCK):
+            b = min(a + _CSV_BLOCK, records)
+            firsts = [c[a:a + 1].tobytes() for c in columns]
+            key = tuple(f if c[a:b].tobytes() == f * (b - a) else None for f, c in zip(firsts, columns))
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = ",".join(
+                    "%.8e" if k is None else "%.8e" % c[a] for k, c in zip(key, columns)) + "\n"
+            # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
+            varying = [memoryview(c)[a:b] for k, c in zip(key, columns) if k is None]
+            # zip() of no columns gives no rows, so a block with every column constant repeats its template.
+            yield from (map(template.__mod__, zip(*varying)) if varying else [template] * (b - a))
 
     def to_csv(self) -> str:
         """Render the trace as CSV, values in 9-significant-digit scientific notation."""
@@ -245,20 +268,19 @@ def settle_time(
 ) -> float | None:
     """Earliest time from which the net reads ``level`` through the horizon.
 
-    Scans records at or after the input onset; returns None if the net
-    never reaches and holds the level.
+    Walks back from the last record and stops at the first one before the
+    input onset or not reading ``level``; returns None if the last record
+    does not qualify.  Records are in ascending time, so this is the start
+    of the final run of ``level`` at or after the onset.
     """
     cfg = cfg or trace.config
-    column = trace.column(net)
+    column, times = trace.column(net), trace.times
     settled: float | None = None
-    for k, t in enumerate(trace.times):
-        if t < onset_ms:
-            continue
-        if classify(column[k], cfg) == level:
-            if settled is None:
-                settled = t
-        else:
-            settled = None
+    for k in range(len(times) - 1, -1, -1):
+        t = times[k]
+        if t < onset_ms or classify(column[k], cfg) != level:
+            break
+        settled = t
     return settled
 
 

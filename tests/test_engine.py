@@ -1,10 +1,12 @@
 """Engine semantics: conversion, propagation, determinism, readout."""
 
+import hashlib
 import math
 import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import memlogic
 from memlogic.device import DeviceParams
@@ -202,6 +204,13 @@ class TestTraceExport:
         assert all("e" in cell for cell in first)
         assert first[0] == "1.00000000e+00"
 
+    def test_multi_block_csv_sha256(self):
+        # 40,000 records make 157 blocks of the CSV renderer; the pin is ``fine_dt/101`` in benchmarks/pins.json.
+        cfg = SimConfig(dt=0.01)
+        trace = simulate(build_full_adder(), make_pattern_stimulus(1, 0, 1, cfg), cfg)
+        digest = hashlib.sha256(trace.to_csv().encode()).hexdigest()
+        assert digest == "50f0a5d7c214701e5ff3b94418615307250ccbeae147e179be196ad9ac2024a0"
+
     def test_metadata_sidecar(self):
         graph = parse_circuit(SINGLE_MOR)
         stim = parse_stimulus(stimulus("0..400=0.1", "0..400=0.1"))
@@ -303,3 +312,41 @@ class TestSettleTime:
         values = [0.0] * 150 + [0.6] * 250
         trace = synthetic_trace(values)
         assert settle_time(trace, "NET", 1) == 151.0
+
+
+def forward_settle_time(trace: Trace, net: str, level, cfg: SimConfig | None = None, onset_ms: float = 100.0):
+    """Reference for ``settle_time``: scan every record from t = 0, restarting at each miss after the onset."""
+    cfg = cfg or trace.config
+    column = trace.column(net)
+    settled = None
+    for k, t in enumerate(trace.times):
+        if t < onset_ms:
+            continue
+        if classify(column[k], cfg) == level:
+            if settled is None:
+                settled = t
+        else:
+            settled = None
+    return settled
+
+
+# The readout dead band [0.25, 0.35], its edges and neighbours, and values no threshold orders.
+BAND_VALUES = [-0.0, 0.0, 0.1, 0.2499, 0.25, 0.3, 0.35, 0.3501, 0.6, math.nan, math.inf, -math.inf]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_backward_settle_time_matches_forward_scan(data):
+    value = st.one_of(st.sampled_from(BAND_VALUES), st.floats(0.2, 0.4))
+    pieces = data.draw(st.lists(st.tuples(value, st.integers(1, 8)), max_size=6), label="runs")
+    values = [v for v, n in pieces for _ in range(n)]
+    n = len(values)
+    # Records sit at t = 1..n: onsets before, on, between and after them.
+    onset = data.draw(st.one_of(st.sampled_from([-1.0, 0.0, n + 0.5, n + 1.0, 1e9]),
+                                st.integers(1, max(n, 1)).map(float),
+                                st.integers(1, max(n, 1)).map(lambda k: k + 0.5)), label="onset")
+    level = data.draw(st.sampled_from([0, 1, AMBIGUOUS]), label="level")
+    trace = Trace(SimConfig(), {"t_ms": array("d", [float(k + 1) for k in range(n)]), "NET": array("d", values)})
+    got = settle_time(trace, "NET", level, onset_ms=onset)
+    want = forward_settle_time(trace, "NET", level, onset_ms=onset)
+    assert got == want and type(got) is type(want)
