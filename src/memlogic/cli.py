@@ -13,7 +13,6 @@ Exit codes: 0 success / all checks passed, 1 a verdict failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .device import ConfigError, DeviceParams
@@ -24,14 +23,15 @@ from .netlist import NetlistError, check_drives, parse_circuit, parse_stimulus
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dt", type=float, default=SimConfig.dt, help="timestep in ms (default %(default)s)")
-    parser.add_argument("--horizon", type=float, default=SimConfig.horizon,
+    cfg, params = SimConfig(), DeviceParams()
+    parser.add_argument("--dt", type=float, default=cfg.dt, help="timestep in ms (default %(default)s)")
+    parser.add_argument("--horizon", type=float, default=cfg.horizon,
                         help="total simulated time in ms (default %(default)s)")
-    parser.add_argument("--b", type=float, default=SimConfig.b,
+    parser.add_argument("--b", type=float, default=cfg.b,
                         help="current-to-voltage constant in ohms (default %(default)s)")
-    parser.add_argument("--vox", type=float, default=DeviceParams.v_ox,
+    parser.add_argument("--vox", type=float, default=params.v_ox,
                         help="oxidation potential in volts (default %(default)s)")
-    parser.add_argument("--vred", type=float, default=DeviceParams.v_red,
+    parser.add_argument("--vred", type=float, default=params.v_red,
                         help="reduction potential in volts (default %(default)s)")
 
 
@@ -75,6 +75,8 @@ def cmd_adder(args: argparse.Namespace) -> int:
             report.append(v.as_dict())
             all_passed = all_passed and v.passed
     if args.out:
+        import json
+
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

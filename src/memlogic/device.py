@@ -17,15 +17,15 @@ double-exponential current rise in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ConfigError(ValueError):
     """A device, gate or run setting that the model rejects."""
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1_dep t2_dep",
+                              defaults=(-3e-7, -1e-7, 30.0, 300.0, 4e-7, 0.5, -0.1, 0.6, None, None))):
     """Physical constants of one memristive element.
 
     Currents are in amperes, potentials in volts, time constants in
@@ -36,22 +36,15 @@ class DeviceParams:
     potentiation values.
     """
 
-    a1: float = -3e-7
-    a2: float = -1e-7
-    t1: float = 30.0
-    t2: float = 300.0
-    c: float = 4e-7
-    v_ox: float = 0.5
-    v_red: float = -0.1
-    v_ref: float = 0.6
-    t1_dep: float | None = None
-    t2_dep: float | None = None
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, so both go through the checks below.
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        if self.t1_dep is None:
-            object.__setattr__(self, "t1_dep", self.t1)
-        if self.t2_dep is None:
-            object.__setattr__(self, "t2_dep", self.t2)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.t1_dep is None or self.t2_dep is None:
+            return self._replace(t1_dep=self.t1 if self.t1_dep is None else self.t1_dep,
+                                 t2_dep=self.t2 if self.t2_dep is None else self.t2_dep)
         if min(self.t1, self.t2, self.t1_dep, self.t2_dep) <= 0:
             raise ConfigError("time constants must be positive")
         if not self.v_red < self.v_ox:
@@ -64,21 +57,22 @@ class DeviceParams:
             raise ConfigError("fresh-state current would be negative")
         if not self.v_ref > self.v_ox:
             raise ConfigError("reference bias must exceed the oxidation potential")
+        return self
 
 
-@dataclass(frozen=True)
-class MemristorState:
+class MemristorState(namedtuple("MemristorState", "x1 x2")):
     """Nonvolatile state: the two relaxation coordinates, each in [0, 1].
 
     (1, 1) is the fresh insulating device, (0, 0) full saturation.
     """
 
-    x1: float
-    x2: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.x1 <= 1.0 and 0.0 <= self.x2 <= 1.0):
-            raise ValueError(f"relaxation coordinates out of [0, 1]: ({self.x1}, {self.x2})")
+    def __new__(cls, x1, x2):
+        if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
+            raise ValueError(f"relaxation coordinates out of [0, 1]: ({x1}, {x2})")
+        return super().__new__(cls, x1, x2)
 
 
 def new_state(initial: float = 1.0) -> MemristorState:

@@ -22,11 +22,9 @@ order, as stepping the gate one step at a time would give.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .device import ConfigError, DeviceParams
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
@@ -40,8 +38,8 @@ AMBIGUOUS = "ambiguous"
 _CSV_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshold_low threshold_high",
+                           defaults=(1.0, 400.0, 1.5e6, 0.6, 0.1, 0.25, 0.35))):
     """Timestep, horizon and signal-level conventions for one run.
 
     ``threshold_low``/``threshold_high`` bound the binary readout band:
@@ -52,16 +50,13 @@ class SimConfig:
     Every field must be finite.
     """
 
-    dt: float = 1.0
-    horizon: float = 400.0
-    b: float = 1.5e6
-    v_logic1: float = 0.6
-    v_logic0: float = 0.1
-    threshold_low: float = 0.25
-    threshold_high: float = 0.35
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, so both go through the checks below.
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
@@ -72,14 +67,14 @@ class SimConfig:
             raise ConfigError("current-to-voltage constant must be positive")
         if not self.threshold_low < self.threshold_high:
             raise ConfigError("threshold_low must lie below threshold_high")
+        return self
 
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
 
-@dataclass
-class Trace:
+class Trace(namedtuple("Trace", "config columns")):
     """Per-timestep record of every node voltage and device state, as one table.
 
     ``columns`` maps each CSV column name to its series, in CSV order:
@@ -87,10 +82,21 @@ class Trace:
     gate's), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
     ``g<ID>_x2`` per gate.  ``simulate`` packs every series as an
     ``array("d")``, 8 bytes a value; a hand-built table of lists reads the same.
+    Every column must hold the same number of records.
     """
 
-    config: SimConfig
-    columns: dict[str, array]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, config: SimConfig, columns: dict[str, array]):
+        if columns:
+            first, *rest = columns
+            records = len(columns[first])
+            for name in rest:
+                if len(columns[name]) != records:
+                    raise ValueError(f"column {name!r} has {len(columns[name])} records "
+                                     f"but column {first!r} has {records}")
+        return super().__new__(cls, config, columns)
 
     @property
     def times(self) -> array:
@@ -152,10 +158,12 @@ class Trace:
     def metadata(self, fixture_texts: dict[str, str] | None = None, params: DeviceParams | None = None) -> dict:
         """JSON-serializable sidecar: package version, config and device params echo (null if not given),
         columns, fixture hashes."""
+        import hashlib
+
         from . import __version__
 
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
-        return {"version": __version__, "config": asdict(self.config), "params": asdict(params) if params else None,
+        return {"version": __version__, "config": self.config._asdict(), "params": params._asdict() if params else None,
                 "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
@@ -287,6 +295,8 @@ def settle_time(
 def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None,
                 params: DeviceParams | None = None) -> None:
     """Write the CSV trace, streamed line by line, and its JSON metadata sidecar."""
+    import json
+
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(trace.csv_lines())
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:

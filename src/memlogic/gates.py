@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .device import ConfigError, DeviceParams, MemristorState, new_state
@@ -41,26 +40,23 @@ class GateKind(Enum):
         return 1 if self is GateKind.MNOT else 2
 
 
-@dataclass
 class GateInstance:
     """One gate: a kind, its device, and (for MNOT) the divider network.
 
     ``r1``/``r2`` are the divider resistors, ``v_con`` the constant source
     that biases the device together with the input, and ``v_rail`` the
     buffered logic-high level the divider ratio is scaled to.  The divider
-    fields are meaningful for MNOT only.
+    fields are meaningful for MNOT only.  ``state`` is the one field that
+    changes: every run writes the device's final state back.  Gates compare
+    by identity.
     """
 
-    kind: GateKind
-    params: DeviceParams = field(default_factory=DeviceParams)
-    state: MemristorState = field(default_factory=new_state)
-    r1: float = 1e6
-    r2: float = 1e7
-    v_con: float = 0.3
-    v_rail: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.kind is GateKind.MNOT:
+    # ``params`` and ``state`` are immutable, so one default instance serves every gate.
+    def __init__(self, kind: GateKind, params: DeviceParams = DeviceParams(), state: MemristorState = new_state(),
+                 r1: float = 1e6, r2: float = 1e7, v_con: float = 0.3, v_rail: float = 0.8) -> None:
+        self.kind, self.params, self.state = kind, params, state
+        self.r1, self.r2, self.v_con, self.v_rail = r1, r2, v_con, v_rail
+        if kind is GateKind.MNOT:
             if not self.r1 < self.r2:
                 raise ConfigError("MNOT requires r1 < r2")
             on_resistance = self.params.v_ref / self.params.c

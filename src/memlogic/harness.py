@@ -8,7 +8,7 @@ follow the standard protocol: every input held at logic 0 for the first
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .device import DeviceParams
@@ -55,12 +55,8 @@ def adder_truth(a: int, b: int, cin: int) -> tuple[int, int]:
     return total & 1, total >> 1
 
 
-@dataclass(frozen=True)
-class Verdict:
-    experiment: str
-    check: str
-    passed: bool
-    measured: object
+class Verdict(namedtuple("Verdict", "experiment check passed measured")):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gates import GateKind
 
@@ -80,44 +80,39 @@ class UnknownTerminalError(NetlistError):
     pass
 
 
-@dataclass(frozen=True)
-class GateNode:
+class GateNode(namedtuple("GateNode", "id kind sources")):
     """One gate declaration: id, kind and its driver references.
 
     Sources are input terminal names (str) or gate ids (int), in pin order.
     """
 
-    id: int
-    kind: GateKind
-    sources: tuple[str | int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CircuitGraph:
-    """Validated, acyclic gate-level netlist."""
+class CircuitGraph(namedtuple("CircuitGraph", "nodes inputs outputs")):
+    """Validated, acyclic gate-level netlist.
 
-    nodes: tuple[GateNode, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[tuple[str, int], ...]  # (probe name, gate id), declaration order
+    ``nodes`` are the gates, ``inputs`` the input names, and ``outputs``
+    the (probe name, gate id) pairs, each in declaration order.
+    """
+
+    __slots__ = ()
 
     @property
     def probes(self) -> dict[str, int]:
         return dict(self.outputs)
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: float
-    end: float
-    volts: float
+Segment = namedtuple("Segment", "start end volts")
 
 
-@dataclass(frozen=True)
-class Stimulus:
-    """Piecewise-constant input waveforms covering [0, horizon_ms]."""
+class Stimulus(namedtuple("Stimulus", "segments horizon_ms")):
+    """Piecewise-constant input waveforms covering [0, horizon_ms].
 
-    segments: tuple[tuple[str, tuple[Segment, ...]], ...]
-    horizon_ms: float
+    ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per terminal.
+    """
+
+    __slots__ = ()
 
     @property
     def terminals(self) -> tuple[str, ...]:

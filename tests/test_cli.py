@@ -1,7 +1,10 @@
 """Command-line behaviour: exit codes, diagnostics, artifact files."""
 
 import json
-from dataclasses import asdict
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,15 +42,15 @@ def test_sidecar_records_device_params(tmp_path):
         assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), "--vox", vox]) == 0
         sidecars.append(json.loads((tmp_path / f"trace_{vox}.csv.meta.json").read_text()))
     assert sidecars[0] != sidecars[1]
-    assert sidecars[0]["params"] == asdict(DeviceParams(v_ox=0.45))
-    assert sidecars[1]["params"] == asdict(DeviceParams())
+    assert sidecars[0]["params"] == DeviceParams(v_ox=0.45)._asdict()
+    assert sidecars[1]["params"] == DeviceParams()._asdict()
 
 
 def test_characterize_sidecar_records_device_params(tmp_path):
     out = tmp_path / "mor.csv"
     assert main(["characterize", "--gate", "MOR", "--out", str(out), "--vred", "-0.2"]) == 0
     meta = json.loads((tmp_path / "mor.csv.meta.json").read_text())
-    assert meta["params"] == asdict(DeviceParams(v_red=-0.2))
+    assert meta["params"] == DeviceParams(v_red=-0.2)._asdict()
 
 
 def test_run_is_byte_identical(tmp_path):
@@ -181,3 +184,26 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Modules that made ``import memlogic.cli`` tens of ms slower.  The CLI runs
+# one process per command, so each adds to every ``memlogic`` call.
+HEAVY_IMPORTS = {"dataclasses", "inspect", "hashlib", "json"}
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import memlogic.cli
+code = memlogic.cli.main(["check", "--circuit", sys.argv[1], "--stimulus", sys.argv[2]])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_cli_import_and_check_load_no_heavy_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ADDER, PATTERN_101], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "memlogic.cli" in loaded
+    assert HEAVY_IMPORTS.isdisjoint(loaded), sorted(HEAVY_IMPORTS.intersection(loaded))

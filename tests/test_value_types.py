@@ -1,0 +1,128 @@
+"""The value types' boundary: each bad setting's exception and message, immutability, derived copies.
+
+``SimConfig``, ``DeviceParams`` and ``MemristorState`` check their fields
+when they are made, and an MNOT gate checks its divider.  A ``Trace`` checks
+that its columns are all the same length.
+"""
+
+import math
+from array import array
+
+import pytest
+
+from memlogic.device import ConfigError, DeviceParams, MemristorState, new_state
+from memlogic.engine import SimConfig, Trace
+from memlogic.gates import GateInstance, GateKind
+
+BAD_VALUES = [
+    # SimConfig: every field finite, then one check per setting.
+    (lambda: SimConfig(dt=math.nan), ConfigError, "dt must be finite, got nan"),
+    (lambda: SimConfig(horizon=math.inf), ConfigError, "horizon must be finite, got inf"),
+    (lambda: SimConfig(b=-math.inf), ConfigError, "b must be finite, got -inf"),
+    (lambda: SimConfig(v_logic1=math.nan), ConfigError, "v_logic1 must be finite, got nan"),
+    (lambda: SimConfig(v_logic0=math.inf), ConfigError, "v_logic0 must be finite, got inf"),
+    (lambda: SimConfig(threshold_low=math.nan), ConfigError, "threshold_low must be finite, got nan"),
+    (lambda: SimConfig(threshold_high=math.inf), ConfigError, "threshold_high must be finite, got inf"),
+    (lambda: SimConfig(dt=0.0), ConfigError, "dt must be positive"),
+    (lambda: SimConfig(dt=-1.0), ConfigError, "dt must be positive"),
+    (lambda: SimConfig(dt=1.0, horizon=0.5), ConfigError, "horizon must cover at least one step"),
+    (lambda: SimConfig(b=0.0), ConfigError, "current-to-voltage constant must be positive"),
+    (lambda: SimConfig(threshold_low=0.35, threshold_high=0.35), ConfigError,
+     "threshold_low must lie below threshold_high"),
+    # DeviceParams: t1_dep and t2_dep are checked after they take t1 and t2.
+    (lambda: DeviceParams(t1=0.0), ConfigError, "time constants must be positive"),
+    (lambda: DeviceParams(t2=-1.0), ConfigError, "time constants must be positive"),
+    (lambda: DeviceParams(t1_dep=0.0), ConfigError, "time constants must be positive"),
+    (lambda: DeviceParams(t2_dep=-5.0), ConfigError, "time constants must be positive"),
+    (lambda: DeviceParams(v_red=0.5), ConfigError, "reduction potential must lie below oxidation potential"),
+    (lambda: DeviceParams(c=0.0), ConfigError, "saturation current must be positive"),
+    (lambda: DeviceParams(a1=1e-9), ConfigError, "exponential amplitudes must be non-positive"),
+    (lambda: DeviceParams(a2=1e-9), ConfigError, "exponential amplitudes must be non-positive"),
+    (lambda: DeviceParams(a2=-2e-7), ConfigError, "fresh-state current would be negative"),
+    (lambda: DeviceParams(v_ref=0.5), ConfigError, "reference bias must exceed the oxidation potential"),
+    # MemristorState: both coordinates in [0, 1].
+    (lambda: MemristorState(1.5, 0.5), ValueError, "relaxation coordinates out of [0, 1]: (1.5, 0.5)"),
+    (lambda: MemristorState(0.5, -0.1), ValueError, "relaxation coordinates out of [0, 1]: (0.5, -0.1)"),
+    (lambda: MemristorState(math.nan, 0.5), ValueError, "relaxation coordinates out of [0, 1]: (nan, 0.5)"),
+    (lambda: new_state(2.0), ValueError, "initial fraction must be in [0, 1], got 2.0"),
+    # The MNOT divider, checked when the gate is made.
+    (lambda: GateInstance(GateKind.MNOT, r1=1e7, r2=1e7), ConfigError, "MNOT requires r1 < r2"),
+    (lambda: GateInstance(GateKind.MNOT, r1=1e5, r2=1e6), ConfigError,
+     "MNOT r2 must lie between the on- and off-resistance"),
+    (lambda: GateInstance(GateKind.MNOT, r2=2e9), ConfigError,
+     "MNOT r2 must lie between the on- and off-resistance"),
+    (lambda: GateInstance(GateKind.MNOT, v_con=0.5), ConfigError,
+     "MNOT constant source (0.5 V) must lie below the oxidation potential (0.5 V), "
+     "or it potentiates the device on its own"),
+    (lambda: GateInstance(GateKind.MNOT, params=DeviceParams(v_ox=0.25)), ConfigError,
+     "MNOT constant source (0.3 V) must lie below the oxidation potential (0.25 V), "
+     "or it potentiates the device on its own"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", BAD_VALUES)
+def test_bad_value_raises_its_error_and_message(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SimConfig()._replace(dt=0.0), ConfigError, "dt must be positive"),
+    (lambda: DeviceParams()._replace(c=0.0), ConfigError, "saturation current must be positive"),
+    (lambda: MemristorState(1.0, 1.0)._replace(x2=1.5), ValueError,
+     "relaxation coordinates out of [0, 1]: (1.0, 1.5)"),
+    (lambda: SimConfig._make([math.nan, 400.0, 1.5e6, 0.6, 0.1, 0.25, 0.35]), ConfigError,
+     "dt must be finite, got nan"),
+])
+def test_derived_copies_are_checked_too(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_replace_derives_a_checked_copy():
+    cfg = SimConfig()._replace(dt=0.5)
+    assert cfg == SimConfig(dt=0.5) and cfg.steps == 800
+    assert DeviceParams(t1=10.0)._replace(v_ox=0.4) == DeviceParams(t1=10.0, v_ox=0.4)
+
+
+@pytest.mark.parametrize("value, name", [
+    (SimConfig(), "dt"),
+    (DeviceParams(), "v_ox"),
+    (MemristorState(1.0, 1.0), "x1"),
+])
+def test_value_types_reject_assignment(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, 0.5)
+    with pytest.raises(AttributeError):
+        value.extra = 0.5
+
+
+def test_depression_constants_fill_from_potentiation():
+    p = DeviceParams()
+    assert (p.t1_dep, p.t2_dep) == (p.t1, p.t2) == (30.0, 300.0)
+
+
+@pytest.mark.parametrize("columns, name, length, first, records", [
+    ({"t_ms": [1.0, 2.0, 3.0], "NET": [0.1]}, "NET", 1, "t_ms", 3),
+    ({"t_ms": array("d", [1.0]), "A": array("d", [0.1]), "B": array("d")}, "B", 0, "t_ms", 1),
+    ({"t_ms": [], "NET": [0.1, 0.2]}, "NET", 2, "t_ms", 0),
+])
+def test_trace_rejects_columns_of_unequal_length(columns, name, length, first, records):
+    with pytest.raises(ValueError) as info:
+        Trace(SimConfig(horizon=3.0), columns)
+    assert str(info.value) == f"column {name!r} has {length} records but column {first!r} has {records}"
+
+
+def test_trace_replace_checks_the_columns():
+    trace = Trace(SimConfig(horizon=3.0), {"t_ms": [1.0, 2.0, 3.0], "NET": [0.1, 0.2, 0.3]})
+    with pytest.raises(ValueError, match="column 'NET' has 1 records but column 't_ms' has 3"):
+        trace._replace(columns={"t_ms": [1.0, 2.0, 3.0], "NET": [0.1]})
+
+
+@pytest.mark.parametrize("columns", [{}, {"t_ms": []}, {"t_ms": array("d"), "NET": []}])
+def test_header_only_tables_are_still_valid(columns):
+    assert Trace(SimConfig(), columns).to_csv() == ",".join(columns) + "\n"
