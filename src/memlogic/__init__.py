@@ -14,7 +14,7 @@ from .device import (
     new_state,
     step,
 )
-from .engine import AMBIGUOUS, SimConfig, Trace, read_binary, settle_time, simulate, write_trace
+from .engine import AMBIGUOUS, SimConfig, Trace, final_states, read_binary, settle_time, simulate, write_trace
 from .gates import R_OFF_CAP, GateInstance, GateKind
 from .harness import (
     Verdict,
@@ -74,6 +74,7 @@ __all__ = [
     "adder_truth",
     "build_full_adder",
     "characterize_gate",
+    "final_states",
     "make_pattern_stimulus",
     "model_current",
     "new_state",

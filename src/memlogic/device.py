@@ -33,7 +33,7 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
     ``a2``/``t2`` the slow one; ``c`` is the saturation current at the
     reference bias ``v_ref``.  Depression (conductance decay) may use its
     own time constants ``t1_dep``/``t2_dep``; they default to the
-    potentiation values.
+    potentiation values.  Every field must be finite.
     """
 
     __slots__ = ()
@@ -45,6 +45,9 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
         if self.t1_dep is None or self.t2_dep is None:
             return self._replace(t1_dep=self.t1 if self.t1_dep is None else self.t1_dep,
                                  t2_dep=self.t2 if self.t2_dep is None else self.t2_dep)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if min(self.t1, self.t2, self.t1_dep, self.t2_dep) <= 0:
             raise ConfigError("time constants must be positive")
         if not self.v_red < self.v_ox:

@@ -26,13 +26,15 @@ import math
 from array import array
 from collections import namedtuple
 
-from .device import ConfigError, DeviceParams
+from .device import ConfigError, DeviceParams, MemristorState, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
 from .device import model_current  # noqa: F401
 from .gates import GateInstance
 from .netlist import CircuitGraph, CoverageError, Stimulus, check_drives, topological_order
 
 AMBIGUOUS = "ambiguous"
+# Time at which the standard protocol applies the input pattern, after all-low initialisation.
+ONSET_MS = 100.0
 # Records per CSV block.  Each block rebuilds its row template, which for a wide table
 # (ripple32: 1635 columns) costs more than it saves below about 256 rows.
 _CSV_BLOCK = 256
@@ -167,27 +169,6 @@ class Trace(namedtuple("Trace", "config columns")):
                 "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
-def build_gates(graph: CircuitGraph, params: DeviceParams | None = None) -> dict[int, GateInstance]:
-    """Fresh gate instances for every node of a graph."""
-    params = params or DeviceParams()
-    return {node.id: GateInstance(kind=node.kind, params=params) for node in graph.nodes}
-
-
-def _check_gates(graph: CircuitGraph, gates: dict[int, GateInstance]) -> None:
-    """Reject a ``gates`` dict that does not give each netlist gate its own instance of its kind."""
-    seen: dict[int, int] = {}
-    for node in graph.nodes:
-        gate = gates.get(node.id)
-        if gate is None:
-            raise ValueError(f"gates has no instance for gate {node.id}")
-        if gate.kind is not node.kind:
-            raise ValueError(f"gate {node.id} is {node.kind.value} in the netlist "
-                             f"but its instance is {gate.kind.value}")
-        if id(gate) in seen:
-            raise ValueError(f"gates {seen[id(gate)]} and {node.id} share one instance")
-        seen[id(gate)] = node.id
-
-
 def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> list[float]:
     """A terminal's voltage at each of the ascending times, by ``Stimulus.value_at``'s rule.
 
@@ -212,29 +193,32 @@ def simulate(
     stimulus: Stimulus,
     cfg: SimConfig | None = None,
     params: DeviceParams | None = None,
-    gates: dict[int, GateInstance] | None = None,
+    states: dict[int, MemristorState] | None = None,
 ) -> Trace:
     """Run the circuit under the stimulus and record a full trace.
 
-    Identical arguments produce bit-identical traces.  Pass ``gates`` to
-    continue from previously trained devices; by default every device
-    starts fresh.  Either way each gate's final state is left in its
-    instance.
+    Identical arguments produce bit-identical traces.  Every gate's device
+    has ``params`` and starts from its entry in ``states``, or fresh if it
+    has none; ``states=final_states(trace, graph)`` continues an earlier
+    run.  A ``states`` id that the netlist does not declare is a
+    ``ValueError``.
     """
     cfg = cfg or SimConfig()
+    params = params or DeviceParams()
+    states = states or {}
     check_drives(graph, stimulus)
     if stimulus.horizon_ms < cfg.horizon:
         raise CoverageError(
             f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
     nodes = {node.id: node for node in graph.nodes}
+    for gate_id in states:
+        if gate_id not in nodes:
+            raise ValueError(f"states has gate {gate_id!r}, which the netlist does not declare")
+    gates = {i: GateInstance(node.kind, params, states.get(i, new_state())) for i, node in nodes.items()}
     names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
     names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
     # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
     columns: dict[str, array] = dict.fromkeys(names)
-    if gates is None:
-        gates = build_gates(graph, params)
-    else:
-        _check_gates(graph, gates)
 
     dt, steps = cfg.dt, cfg.steps
     starts = [k * dt for k in range(steps)]
@@ -253,6 +237,12 @@ def simulate(
     return Trace(cfg, columns)
 
 
+def final_states(trace: Trace, graph: CircuitGraph) -> dict[int, MemristorState]:
+    """Each gate's device state at the trace's last record, for ``simulate(..., states=)`` to continue from."""
+    return {node.id: MemristorState(trace.column(f"g{node.id}_x1")[-1], trace.column(f"g{node.id}_x2")[-1])
+            for node in graph.nodes}
+
+
 def classify(v: float, cfg: SimConfig):
     """Binary reading of a voltage: 1 above the high threshold, 0 below the low one, else ``AMBIGUOUS``."""
     if v > cfg.threshold_high:
@@ -262,26 +252,20 @@ def classify(v: float, cfg: SimConfig):
     return AMBIGUOUS
 
 
-def read_binary(trace: Trace, net: str, t_ms: float, cfg: SimConfig | None = None):
-    """Binary readout of a net at time t: 0, 1, or ``AMBIGUOUS``."""
-    return classify(trace.voltage_at(net, t_ms), cfg or trace.config)
+def read_binary(trace: Trace, net: str, t_ms: float):
+    """Binary readout of a net at time t by the trace's thresholds: 0, 1, or ``AMBIGUOUS``."""
+    return classify(trace.voltage_at(net, t_ms), trace.config)
 
 
-def settle_time(
-    trace: Trace,
-    net: str,
-    level,
-    cfg: SimConfig | None = None,
-    onset_ms: float = 100.0,
-) -> float | None:
-    """Earliest time from which the net reads ``level`` through the horizon.
+def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> float | None:
+    """Earliest time from which the net reads ``level``, by the trace's thresholds, through the horizon.
 
     Walks back from the last record and stops at the first one before the
     input onset or not reading ``level``; returns None if the last record
     does not qualify.  Records are in ascending time, so this is the start
     of the final run of ``level`` at or after the onset.
     """
-    cfg = cfg or trace.config
+    cfg = trace.config
     column, times = trace.column(net), trace.times
     settled: float | None = None
     for k in range(len(times) - 1, -1, -1):

@@ -28,6 +28,10 @@ from .device import step  # noqa: F401
 # Divider resistance assigned to a fully insulating device; keeps the
 # MNOT transfer ratio finite while the device passes no current.
 R_OFF_CAP = 1e9
+# The MNOT divider: resistors R1 and R2 in ohms, the constant source V_CON
+# that biases the device together with the input, and the buffered
+# logic-high level V_RAIL the divider ratio is scaled to, in volts.
+R1, R2, V_CON, V_RAIL = 1e6, 1e7, 0.3, 0.8
 
 
 class GateKind(Enum):
@@ -41,30 +45,25 @@ class GateKind(Enum):
 
 
 class GateInstance:
-    """One gate: a kind, its device, and (for MNOT) the divider network.
+    """One gate: a kind, its device's params, and the device's state.
 
-    ``r1``/``r2`` are the divider resistors, ``v_con`` the constant source
-    that biases the device together with the input, and ``v_rail`` the
-    buffered logic-high level the divider ratio is scaled to.  The divider
-    fields are meaningful for MNOT only.  ``state`` is the one field that
-    changes: every run writes the device's final state back.  Gates compare
-    by identity.
+    An MNOT's divider is the module's fixed ``R1``/``R2``/``V_CON``/``V_RAIL``,
+    and making an MNOT checks that ``params`` suit it.  ``state`` is the one field
+    that changes: every run writes the device's final state back.
     """
 
     # ``params`` and ``state`` are immutable, so one default instance serves every gate.
-    def __init__(self, kind: GateKind, params: DeviceParams = DeviceParams(), state: MemristorState = new_state(),
-                 r1: float = 1e6, r2: float = 1e7, v_con: float = 0.3, v_rail: float = 0.8) -> None:
+    def __init__(self, kind: GateKind, params: DeviceParams = DeviceParams(),
+                 state: MemristorState = new_state()) -> None:
         self.kind, self.params, self.state = kind, params, state
-        self.r1, self.r2, self.v_con, self.v_rail = r1, r2, v_con, v_rail
         if kind is GateKind.MNOT:
-            if not self.r1 < self.r2:
-                raise ConfigError("MNOT requires r1 < r2")
-            on_resistance = self.params.v_ref / self.params.c
-            if not on_resistance < self.r2 < R_OFF_CAP:
-                raise ConfigError("MNOT r2 must lie between the on- and off-resistance")
-            if not self.v_con < self.params.v_ox:
-                raise ConfigError(f"MNOT constant source ({self.v_con} V) must lie below the oxidation potential "
-                                  f"({self.params.v_ox} V), or it potentiates the device on its own")
+            on_resistance = params.v_ref / params.c
+            if not on_resistance < R2:
+                raise ConfigError(f"MNOT device on-resistance ({on_resistance:g} ohm) must lie below "
+                                  f"the divider's R2 ({R2:g} ohm)")
+            if not V_CON < params.v_ox:
+                raise ConfigError(f"MNOT constant source ({V_CON} V) must lie below the oxidation potential "
+                                  f"({params.v_ox} V), or it potentiates the device on its own")
 
     def step(self, inputs: list[float], dt: float) -> float:
         """Advance the gate one timestep and return its output: :meth:`run` over one step.
@@ -98,7 +97,7 @@ class GateInstance:
             # The summing stage adds the constant source to the input, so the
             # device switches once the input alone clears v_ox - v_con, while
             # v_con by itself keeps it in the hold window.
-            v_con = self.v_con
+            v_con = V_CON
             drive = [v + v_con for v in sources[0]]
 
         # ``device.step``'s per-regime factors, taken out of the loop.
@@ -126,7 +125,7 @@ class GateInstance:
         x2s = array("d", x2s)
         if self.kind is GateKind.MNOT:
             # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
-            r12, v_rail, g_off = self.r1 + self.r2, self.v_rail, 1.0 / R_OFF_CAP
+            r12, v_rail, g_off = R1 + R2, V_RAIL, 1.0 / R_OFF_CAP
             volts = []
             for i in currents:
                 g = i / v_ref

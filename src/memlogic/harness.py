@@ -12,11 +12,9 @@ from collections import namedtuple
 from pathlib import Path
 
 from .device import DeviceParams
-from .engine import SimConfig, Trace, read_binary, simulate
+from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate
 from .gates import GateKind
 from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
-
-ONSET_MS = 100.0
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"
 _PACKAGE_FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,7 +78,7 @@ def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
     trace = simulate(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params=params)
     verdicts = []
     for net, expected in zip(("SUM", "COUT"), adder_truth(a, b, cin)):
-        got = read_binary(trace, net, cfg.horizon, cfg)
+        got = read_binary(trace, net, cfg.horizon)
         verdicts.append(Verdict(
             experiment=f"adder_{a}{b}{cin}",
             check=f"{net}@{cfg.horizon:g}ms == {expected}",

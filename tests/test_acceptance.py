@@ -17,7 +17,7 @@ import pytest
 
 from memlogic.device import DeviceParams, MemristorState, model_current, new_state, step
 from memlogic.engine import AMBIGUOUS, SimConfig, read_binary, settle_time
-from memlogic.gates import GateInstance, GateKind
+from memlogic.gates import V_RAIL, GateInstance, GateKind
 from memlogic.harness import adder_truth, fixture_text, run_pattern
 from memlogic.netlist import (
     ArityError,
@@ -146,9 +146,9 @@ def test_criterion_06_mnot_inversion():
     assert gate.state == new_state()
     for _ in range(300):
         out = gate.step([0.6], 1.0)
-    ok = pre >= 0.98 * gate.v_rail and 0.07 <= out <= 0.13
-    report(6, ok, f"pre-input {pre:.4f} V (>= {0.98 * gate.v_rail:.4f}), after 300 ms {out:.4f} V (in [0.07, 0.13])")
-    assert pre >= 0.98 * gate.v_rail
+    ok = pre >= 0.98 * V_RAIL and 0.07 <= out <= 0.13
+    report(6, ok, f"pre-input {pre:.4f} V (>= {0.98 * V_RAIL:.4f}), after 300 ms {out:.4f} V (in [0.07, 0.13])")
+    assert pre >= 0.98 * V_RAIL
     assert 0.07 <= out <= 0.13
 
 
@@ -157,8 +157,8 @@ def _pattern_verdicts(cfg: SimConfig):
     for bits in ((0, 1, 0), (1, 0, 1)):
         trace, _ = run_pattern(*bits, cfg=cfg)
         results[bits] = {
-            "SUM": read_binary(trace, "SUM", cfg.horizon, cfg),
-            "COUT": read_binary(trace, "COUT", cfg.horizon, cfg),
+            "SUM": read_binary(trace, "SUM", cfg.horizon),
+            "COUT": read_binary(trace, "COUT", cfg.horizon),
             "v": {net: trace.voltage_at(net, cfg.horizon) for net in ("SUM", "COUT")},
             "trace": trace,
         }
@@ -198,7 +198,7 @@ def test_criterion_08_settle_bound():
     for bits in ((0, 1, 0), (1, 0, 1)):
         trace, _ = run_pattern(*bits, cfg=CFG)
         s_expected, _ = adder_truth(*bits)
-        settled = settle_time(trace, "SUM", s_expected, CFG)
+        settled = settle_time(trace, "SUM", s_expected)
         details.append(f"{bits}: SUM settles at {settled} ms (bound 200 ms)")
         ok &= settled is not None and settled <= 200.0
     report(8, ok, "; ".join(details))
@@ -211,9 +211,9 @@ def test_criterion_08_achieved_settle_times():
     for bits, (low, high) in expected.items():
         trace, _ = run_pattern(*bits, cfg=CFG)
         s_expected, c_expected = adder_truth(*bits)
-        settled = settle_time(trace, "SUM", s_expected, CFG)
+        settled = settle_time(trace, "SUM", s_expected)
         assert settled is not None and low <= settled <= high, (bits, settled)
-        assert settle_time(trace, "COUT", c_expected, CFG) is not None
+        assert settle_time(trace, "COUT", c_expected) is not None
 
 
 def test_criterion_09_timestep_robustness():

@@ -6,23 +6,30 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import memlogic
-from memlogic.device import DeviceParams
+from memlogic.device import DeviceParams, MemristorState, new_state
 from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
     Trace,
-    build_gates,
     classify,
+    final_states,
     read_binary,
     settle_time,
     simulate,
 )
-from memlogic.gates import GateInstance, GateKind
 from memlogic.harness import build_full_adder, make_pattern_stimulus
-from memlogic.netlist import CoverageError, DuplicateError, UnknownTerminalError, parse_circuit, parse_stimulus
+from memlogic.netlist import (
+    CoverageError,
+    DuplicateError,
+    Segment,
+    Stimulus,
+    UnknownTerminalError,
+    parse_circuit,
+    parse_stimulus,
+)
 
 PARAMS = DeviceParams()
 
@@ -150,44 +157,46 @@ class TestSimulate:
 
 
 class TestTrainedGates:
-    def test_final_states_are_left_in_the_instances(self):
+    def test_final_states_read_the_last_record(self):
         graph = parse_circuit(SINGLE_MOR)
         stim = parse_stimulus(stimulus("0..100=0.1, 100..400=0.6", "0..400=0.1"))
-        gates = build_gates(graph)
-        trace = simulate(graph, stim, gates=gates)
-        assert (gates[1].state.x1, gates[1].state.x2) == (trace.column("g1_x1")[-1], trace.column("g1_x2")[-1])
-        assert gates[1].state.x1 < 1.0
+        trace = simulate(graph, stim)
+        states = final_states(trace, graph)
+        assert states == {1: MemristorState(trace.column("g1_x1")[-1], trace.column("g1_x2")[-1])}
+        assert states[1].x1 < 1.0
 
-    def test_kind_mismatch_rejected(self):
-        # A MOR device in SUM's MAND slot would drive as MOR, and pattern 101 would read SUM = 1.
-        graph = build_full_adder()
-        gates = build_gates(graph)
-        gates[12] = GateInstance(kind=GateKind.MOR)
-        with pytest.raises(ValueError, match="gate 12 is MAND"):
-            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
-
-    def test_missing_gate_rejected(self):
-        graph = build_full_adder()
-        gates = build_gates(graph)
-        del gates[5]
-        with pytest.raises(ValueError, match="gate 5"):
-            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
-
-    def test_shared_instance_rejected(self):
-        graph = parse_circuit("input A\ninput B\ngate 1 MOR A B\ngate 2 MOR 1 B\n")
+    def test_undeclared_gate_in_states_is_rejected(self):
+        graph = parse_circuit(SINGLE_MOR)
         stim = parse_stimulus(stimulus("0..400=0.6", "0..400=0.1"))
-        shared = GateInstance(kind=GateKind.MOR)
-        with pytest.raises(ValueError, match="gates 1 and 2"):
-            simulate(graph, stim, gates={1: shared, 2: shared})
+        with pytest.raises(ValueError, match="^states has gate 2, which the netlist does not declare$"):
+            simulate(graph, stim, states={1: new_state(), 2: new_state()})
 
-    def test_rejected_gates_are_left_untouched(self):
-        graph = build_full_adder()
-        gates = build_gates(graph)
-        gates[5] = GateInstance(kind=GateKind.MOR)
-        before = {i: g.state for i, g in gates.items()}
-        with pytest.raises(ValueError):
-            simulate(graph, make_pattern_stimulus(1, 0, 1), gates=gates)
-        assert {i: g.state for i, g in gates.items()} == before
+
+# Logic levels, the thresholds and the hold window, then any drive.
+CHAIN_VOLTS = st.one_of(st.sampled_from([0.1, 0.6, 0.5, -0.1, 0.3, -0.2]), st.floats(-0.6, 0.9))
+
+
+@given(volts=st.tuples(CHAIN_VOLTS, CHAIN_VOLTS, CHAIN_VOLTS), dt=st.sampled_from([1.0, 0.5, 0.7, 0.01]),
+       n=st.integers(1, 120))
+@example(volts=(0.6, 0.1, 0.6), dt=1.0, n=200)
+@example(volts=(0.1, 0.6, 0.1), dt=0.5, n=400)
+@example(volts=(0.6, 0.6, 0.6), dt=0.7, n=286)
+@settings(max_examples=60, deadline=None)
+def test_two_chained_runs_end_where_one_run_of_both_ends(volts, dt, n):
+    """N steps, then N more from ``final_states``, end bit for bit where one run of 2N steps ends."""
+    graph = build_full_adder()
+    stim = Stimulus(tuple((name, (Segment(0.0, 2 * n * dt, v),)) for name, v in zip(graph.inputs, volts)), 2 * n * dt)
+    whole = simulate(graph, stim, SimConfig(dt=dt, horizon=2 * n * dt))
+    half = SimConfig(dt=dt, horizon=n * dt)
+    first = simulate(graph, stim, half)
+    second = simulate(graph, stim, half, states=final_states(first, graph))
+
+    def ends(trace):
+        states = final_states(trace, graph)
+        return {i: (states[i].x1.hex(), states[i].x2.hex(), trace.column(f"g{i}")[-1].hex()) for i in states}
+
+    assert len(whole.times) == 2 * len(second.times)
+    assert ends(second) == ends(whole)
 
 
 class TestTraceExport:
@@ -284,6 +293,12 @@ class TestReadBinary:
         with pytest.raises(ValueError):
             read_binary(trace, "NET", 1000.0)
 
+    def test_rethreshold_through_the_trace_config(self):
+        trace = synthetic_trace([0.3] * 400)
+        narrowed = trace._replace(config=trace.config._replace(threshold_low=0.2, threshold_high=0.29))
+        assert read_binary(narrowed, "NET", 400.0) == 1
+        assert settle_time(narrowed, "NET", 1) == 100.0
+
 
 @pytest.mark.parametrize("v,level", [
     (0.36, 1), (0.35, AMBIGUOUS), (0.3, AMBIGUOUS), (0.25, AMBIGUOUS), (0.24, 0), (-0.0, 0),
@@ -314,9 +329,9 @@ class TestSettleTime:
         assert settle_time(trace, "NET", 1) == 151.0
 
 
-def forward_settle_time(trace: Trace, net: str, level, cfg: SimConfig | None = None, onset_ms: float = 100.0):
+def forward_settle_time(trace: Trace, net: str, level, onset_ms: float = 100.0):
     """Reference for ``settle_time``: scan every record from t = 0, restarting at each miss after the onset."""
-    cfg = cfg or trace.config
+    cfg = trace.config
     column = trace.column(net)
     settled = None
     for k, t in enumerate(trace.times):

@@ -6,11 +6,13 @@ drive by gate kind, ``device.step``, then the readout from
 compiled one replaced: each step samples every input with
 ``Stimulus.value_at``, then takes one ``reference_step`` per gate in
 topological order.  Neither calls gate code from ``src/``; a
-``GateInstance`` only holds a gate's kind, params, divider and state.  The
-properties run the engine on random acyclic netlists and piecewise
-stimuli, and ``GateInstance.step`` on random input sequences, and require
-every value and every final device state to match bit for bit (compared
-as ``float.hex``, so signed zeros count).
+``GateInstance`` only holds a gate's kind, params and state, and the MNOT
+divider is read from the ``gates`` module's constants.  The properties run
+the engine on random acyclic netlists and piecewise stimuli, each run with
+one ``params`` and drawn starting ``states``, and ``GateInstance.step`` on
+random input sequences, and require every value and every final device
+state to match bit for bit (compared as ``float.hex``, so signed zeros
+count).
 """
 
 import copy
@@ -20,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import DeviceParams, MemristorState, model_current, step
-from memlogic.engine import SimConfig, Trace, simulate
-from memlogic.gates import R_OFF_CAP, GateInstance, GateKind
+from memlogic.engine import SimConfig, Trace, final_states, simulate
+from memlogic.gates import R1, R2, R_OFF_CAP, V_CON, V_RAIL, GateInstance, GateKind
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit, topological_order
 
 
@@ -33,25 +35,26 @@ def reference_step(gate: GateInstance, inputs, dt: float) -> float:
     elif gate.kind is GateKind.MAND:
         drive = (inputs[0] + inputs[1]) / 2.0
     else:
-        drive = inputs[0] + gate.v_con
+        drive = inputs[0] + V_CON
     gate.state = step(gate.state, p, drive, dt)
     current = model_current(gate.state, p)
     if gate.kind is GateKind.MNOT:
         g = current / p.v_ref
         r_m = R_OFF_CAP if g <= 1.0 / R_OFF_CAP else 1.0 / g
-        return gate.v_rail * r_m / (gate.r1 + gate.r2 + r_m)
+        return V_RAIL * r_m / (R1 + R2 + r_m)
     return current / p.v_ref * drive
 
 
-def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Trace:
-    """The object-per-gate engine: one ``reference_step`` per gate per step.
+def reference_simulate(graph, stimulus, cfg=None, params=None, states=None) -> tuple[Trace, dict]:
+    """The object-per-gate engine: one ``reference_step`` per gate per step; returns the trace and final states.
 
     It names and fills its own columns and calls no engine helper, so the
     comparison covers the engine's column layout too.
     """
     cfg = cfg or SimConfig()
-    if gates is None:
-        gates = {node.id: GateInstance(kind=node.kind, params=params or DeviceParams()) for node in graph.nodes}
+    states = states or {}
+    gates = {node.id: GateInstance(node.kind, params or DeviceParams(), states.get(node.id, MemristorState(1.0, 1.0)))
+             for node in graph.nodes}
     order = topological_order(graph)
     nodes = {node.id: node for node in graph.nodes}
     gate_ids = tuple(node.id for node in graph.nodes)
@@ -84,15 +87,15 @@ def reference_simulate(graph, stimulus, cfg=None, params=None, gates=None) -> Tr
             columns[f"g{gate_id}_x1"].append(state.x1)
             columns[f"g{gate_id}_x2"].append(state.x2)
 
-    return Trace(config=cfg, columns=columns)
+    return Trace(config=cfg, columns=columns), {i: g.state for i, g in gates.items()}
 
 
 def hexed(trace: Trace) -> list:
     return [(name, [float(v).hex() for v in values]) for name, values in trace.columns.items()]
 
 
-def state_hex(gates: dict[int, GateInstance]) -> dict:
-    return {i: (g.state.x1.hex(), g.state.x2.hex()) for i, g in gates.items()}
+def state_hex(states: dict[int, MemristorState]) -> dict:
+    return {i: (s.x1.hex(), s.x2.hex()) for i, s in states.items()}
 
 
 # Threshold edges, the hold window, a negative zero, and depressing biases.
@@ -106,13 +109,7 @@ PARAMS = [
     DeviceParams(t1=7.0, t2=90.0, t1_dep=20.0, t2_dep=400.0, v_ox=0.45, v_red=-0.05),
     DeviceParams(a1=-2e-7, a2=-2e-7, v_ox=0.55, v_red=-0.15),
 ]
-# MNOT divider values; r2 stays between the on-resistance (1.5e6) and R_OFF_CAP.
-DIVIDERS = st.fixed_dictionaries({
-    "r1": st.floats(1e5, 1.4e6),
-    "r2": st.floats(1.6e6, 1e8),
-    "v_con": st.sampled_from([0.3, 0.2, 0.31]),
-    "v_rail": st.floats(0.5, 1.0),
-})
+FRACTION = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -152,39 +149,29 @@ def test_compiled_engine_matches_reference_bit_for_bit(data):
     horizon = data.draw(st.floats(1.0, 100.0)) * dt
     stim = data.draw(stimuli(graph.inputs, horizon + data.draw(st.sampled_from([0.0, dt, 3.3]))))
     cfg = SimConfig(dt=dt, horizon=horizon)
+    params = data.draw(st.sampled_from(PARAMS))
+    # Continue some devices from trained states; the rest start fresh.
+    trained = data.draw(st.lists(st.sampled_from([node.id for node in graph.nodes]), unique=True))
+    states = {i: MemristorState(data.draw(FRACTION), data.draw(FRACTION)) for i in trained}
 
-    gates = None
-    if data.draw(st.booleans()):
-        # Continue from trained devices, each with its own params and state.
-        gates = {}
-        for node in graph.nodes:
-            gate = GateInstance(kind=node.kind, params=data.draw(st.sampled_from(PARAMS)),
-                                **data.draw(DIVIDERS))
-            fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-            gate.state = MemristorState(data.draw(fraction), data.draw(fraction))
-            gates[node.id] = gate
-    ref_gates = copy.deepcopy(gates)
-
-    got = simulate(graph, stim, cfg, gates=gates)
-    want = reference_simulate(graph, stim, cfg, gates=ref_gates)
+    got = simulate(graph, stim, cfg, params, states)
+    want, want_states = reference_simulate(graph, stim, cfg, params, states)
     assert hexed(got) == hexed(want)
     assert got.to_csv() == want.to_csv()
-    if gates is not None:
-        assert state_hex(gates) == state_hex(ref_gates)
+    assert state_hex(final_states(got, graph)) == state_hex(want_states)
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_gate_step_matches_reference_bit_for_bit(data):
     kind = data.draw(st.sampled_from(list(GateKind)))
-    gate = GateInstance(kind=kind, params=data.draw(st.sampled_from(PARAMS)), **data.draw(DIVIDERS))
-    fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    gate.state = MemristorState(data.draw(fraction), data.draw(fraction))
+    state = MemristorState(data.draw(FRACTION), data.draw(FRACTION))
+    gate = GateInstance(kind, data.draw(st.sampled_from(PARAMS)), state)
     ref = copy.deepcopy(gate)
     steps = st.tuples(st.lists(VOLTS, min_size=kind.arity, max_size=kind.arity), DT)
     for inputs, dt in data.draw(st.lists(steps, max_size=60)):
         assert gate.step(inputs, dt).hex() == reference_step(ref, inputs, dt).hex()
-    assert state_hex({0: gate}) == state_hex({0: ref})
+    assert state_hex({0: gate.state}) == state_hex({0: ref.state})
 
 
 def test_gate_step_matches_reference_at_threshold_edges_and_signed_zero_ties():
@@ -197,7 +184,7 @@ def test_gate_step_matches_reference_at_threshold_edges_and_signed_zero_ties():
             ref = copy.deepcopy(gate)
             for inputs in [[v, v] for v in edges] + [[0.0, -0.0], [-0.0, 0.0]]:
                 assert gate.step(inputs, 1.0).hex() == reference_step(ref, inputs, 1.0).hex()
-            assert state_hex({0: gate}) == state_hex({0: ref})
+            assert state_hex({0: gate.state}) == state_hex({0: ref.state})
 
 
 def test_fresh_run_matches_reference_under_default_params():
@@ -205,7 +192,7 @@ def test_fresh_run_matches_reference_under_default_params():
     stim = Stimulus((("A", (Segment(0.0, 20.0, 0.6), Segment(20.0, 40.0, -0.2))),
                      ("B", (Segment(0.0, 40.0, 0.1),))), 40.0)
     cfg = SimConfig(dt=0.7, horizon=40.0)
-    assert hexed(simulate(graph, stim, cfg)) == hexed(reference_simulate(graph, stim, cfg))
+    assert hexed(simulate(graph, stim, cfg)) == hexed(reference_simulate(graph, stim, cfg)[0])
 
 
 def test_gap_in_hand_built_stimulus_is_a_coverage_error():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import DeviceParams, MemristorState, model_current
-from memlogic.gates import R_OFF_CAP, GateInstance, GateKind
+from memlogic.gates import R1, R2, R_OFF_CAP, V_RAIL, GateInstance, GateKind
 
 PARAMS = DeviceParams()
 
@@ -132,17 +132,17 @@ class TestMnot:
     # An input at logic 0 keeps the MNOT device in its hold window, so a step reads the present output.
     def test_fresh_output_is_near_rail(self):
         gate = GateInstance(GateKind.MNOT)
-        want = gate.v_rail * R_OFF_CAP / (gate.r1 + gate.r2 + R_OFF_CAP)
+        want = V_RAIL * R_OFF_CAP / (R1 + R2 + R_OFF_CAP)
         out = gate.step([0.1], 1.0)
         assert out == pytest.approx(want, rel=1e-12)
-        assert out >= 0.98 * gate.v_rail
+        assert out >= 0.98 * V_RAIL
 
     def test_on_resistance_floor(self):
         gate = GateInstance(GateKind.MNOT)
         gate.state = MemristorState(0.0, 0.0)  # on-resistance 1.5e6 ohm
         ratio = 1.5e6 / (1e6 + 1e7 + 1.5e6)
         assert ratio == pytest.approx(0.12)
-        assert gate.step([0.1], 1.0) == pytest.approx(gate.v_rail * ratio, rel=1e-12)
+        assert gate.step([0.1], 1.0) == pytest.approx(V_RAIL * ratio, rel=1e-12)
 
     def test_constant_source_alone_is_nonvolatile(self):
         gate = GateInstance(GateKind.MNOT)
@@ -154,7 +154,7 @@ class TestMnot:
         gate = GateInstance(GateKind.MNOT)
         out = drive_gate(gate, (0.6,), 300)
         g = model_current(gate.state, PARAMS) / PARAMS.v_ref
-        want = gate.v_rail * (1 / g) / (gate.r1 + gate.r2 + 1 / g)
+        want = V_RAIL * (1 / g) / (R1 + R2 + 1 / g)
         assert out == pytest.approx(want, rel=1e-12)
         assert 0.07 <= out <= 0.13
 
@@ -194,20 +194,21 @@ class TestNormalizedOutput:
         assert abs(want - 0.4979) < 1e-4
 
 
-class TestMnotConfigValidation:
-    def test_r1_must_be_below_r2(self):
-        with pytest.raises(ValueError):
-            GateInstance(kind=GateKind.MNOT, r1=2e7, r2=1e7)
+# A device whose on-resistance (0.6 V / 5e-8 A = 1.2e7 ohm) exceeds R2, and one that V_CON would potentiate.
+HIGH_ON_RESISTANCE = DeviceParams(a1=-3e-8, a2=-1e-8, c=5e-8)
+LOW_VOX = DeviceParams(v_ox=0.3)
 
-    def test_r2_must_be_intermediate(self):
+
+class TestMnotConfigValidation:
+    def test_on_resistance_must_lie_below_r2(self):
         with pytest.raises(ValueError):
-            GateInstance(kind=GateKind.MNOT, r1=1e5, r2=1e6)  # below on-resistance
-        with pytest.raises(ValueError):
-            GateInstance(kind=GateKind.MNOT, r1=1e6, r2=2e9)  # above off-resistance
+            GateInstance(kind=GateKind.MNOT, params=HIGH_ON_RESISTANCE)
 
     def test_constant_source_must_not_potentiate(self):
         with pytest.raises(ValueError):
-            GateInstance(kind=GateKind.MNOT, v_con=0.55)
+            GateInstance(kind=GateKind.MNOT, params=LOW_VOX)
 
-    def test_divider_fields_ignored_for_mor(self):
-        GateInstance(kind=GateKind.MOR, r1=2e7, r2=1e7)  # no error
+    @pytest.mark.parametrize("kind", [GateKind.MOR, GateKind.MAND])
+    @pytest.mark.parametrize("params", [HIGH_ON_RESISTANCE, LOW_VOX])
+    def test_divider_checks_skip_mor_and_mand(self, kind, params):
+        GateInstance(kind=kind, params=params)  # no error

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from memlogic.engine import SimConfig, build_gates, read_binary, settle_time, simulate
+from memlogic.engine import SimConfig, final_states, read_binary, settle_time, simulate
 from memlogic.gates import GateKind
 from memlogic.harness import (
     adder_truth,
@@ -118,22 +118,20 @@ class TestMnotFloor:
 class TestLearningPersistence:
     def test_retrained_circuit_settles_faster_on_reinforcing_pattern(self):
         graph = build_full_adder()
-        gates = build_gates(graph)
         stim = make_pattern_stimulus(0, 1, 0, CFG)
-        first = simulate(graph, stim, CFG, gates=gates)
+        first = simulate(graph, stim, CFG)
         t_first = settle_time(first, "SUM", 1)
-        second = simulate(graph, stim, CFG, gates=gates)
+        second = simulate(graph, stim, CFG, states=final_states(first, graph))
         t_second = settle_time(second, "SUM", 1)
         assert t_first is not None and t_second is not None
         assert t_second < t_first
 
     def test_retrained_carry_settles_faster(self):
         graph = build_full_adder()
-        gates = build_gates(graph)
         stim = make_pattern_stimulus(1, 0, 1, CFG)
-        first = simulate(graph, stim, CFG, gates=gates)
+        first = simulate(graph, stim, CFG)
         t_first = settle_time(first, "COUT", 1)
-        second = simulate(graph, stim, CFG, gates=gates)
+        second = simulate(graph, stim, CFG, states=final_states(first, graph))
         t_second = settle_time(second, "COUT", 1)
         assert t_first is not None and t_second is not None
         assert t_second < t_first
@@ -147,11 +145,10 @@ class TestLearningPersistence:
     def test_retraining_helps_every_probed_verdict(self):
         graph = build_full_adder()
         for bits in ((0, 1, 0), (1, 0, 1)):
-            gates = build_gates(graph)
             stim = make_pattern_stimulus(*bits, cfg=CFG)
             s_expected, c_expected = adder_truth(*bits)
-            first = simulate(graph, stim, CFG, gates=gates)
-            second = simulate(graph, stim, CFG, gates=gates)
+            first = simulate(graph, stim, CFG)
+            second = simulate(graph, stim, CFG, states=final_states(first, graph))
             for net, level in (("SUM", s_expected), ("COUT", c_expected)):
                 t_first = settle_time(first, net, level)
                 t_second = settle_time(second, net, level)

@@ -1,7 +1,7 @@
 """The value types' boundary: each bad setting's exception and message, immutability, derived copies.
 
 ``SimConfig``, ``DeviceParams`` and ``MemristorState`` check their fields
-when they are made, and an MNOT gate checks its divider.  A ``Trace`` checks
+when they are made, and an MNOT gate checks that its params suit the fixed divider.  A ``Trace`` checks
 that its columns are all the same length.
 """
 
@@ -29,7 +29,13 @@ BAD_VALUES = [
     (lambda: SimConfig(b=0.0), ConfigError, "current-to-voltage constant must be positive"),
     (lambda: SimConfig(threshold_low=0.35, threshold_high=0.35), ConfigError,
      "threshold_low must lie below threshold_high"),
-    # DeviceParams: t1_dep and t2_dep are checked after they take t1 and t2.
+    # DeviceParams: every field finite, checked after t1_dep and t2_dep take t1 and t2.
+    (lambda: DeviceParams(t1=math.nan), ConfigError, "t1 must be finite, got nan"),
+    (lambda: DeviceParams(c=math.inf), ConfigError, "c must be finite, got inf"),
+    (lambda: DeviceParams(t2_dep=math.inf), ConfigError, "t2_dep must be finite, got inf"),
+    (lambda: DeviceParams(v_ox=math.nan), ConfigError, "v_ox must be finite, got nan"),
+    (lambda: DeviceParams(a1=-math.inf), ConfigError, "a1 must be finite, got -inf"),
+    # DeviceParams: then one check per setting.
     (lambda: DeviceParams(t1=0.0), ConfigError, "time constants must be positive"),
     (lambda: DeviceParams(t2=-1.0), ConfigError, "time constants must be positive"),
     (lambda: DeviceParams(t1_dep=0.0), ConfigError, "time constants must be positive"),
@@ -45,14 +51,11 @@ BAD_VALUES = [
     (lambda: MemristorState(0.5, -0.1), ValueError, "relaxation coordinates out of [0, 1]: (0.5, -0.1)"),
     (lambda: MemristorState(math.nan, 0.5), ValueError, "relaxation coordinates out of [0, 1]: (nan, 0.5)"),
     (lambda: new_state(2.0), ValueError, "initial fraction must be in [0, 1], got 2.0"),
-    # The MNOT divider, checked when the gate is made.
-    (lambda: GateInstance(GateKind.MNOT, r1=1e7, r2=1e7), ConfigError, "MNOT requires r1 < r2"),
-    (lambda: GateInstance(GateKind.MNOT, r1=1e5, r2=1e6), ConfigError,
-     "MNOT r2 must lie between the on- and off-resistance"),
-    (lambda: GateInstance(GateKind.MNOT, r2=2e9), ConfigError,
-     "MNOT r2 must lie between the on- and off-resistance"),
-    (lambda: GateInstance(GateKind.MNOT, v_con=0.5), ConfigError,
-     "MNOT constant source (0.5 V) must lie below the oxidation potential (0.5 V), "
+    # An MNOT's params against the fixed divider, checked when the gate is made.
+    (lambda: GateInstance(GateKind.MNOT, params=DeviceParams(a1=-3e-8, a2=-1e-8, c=5e-8)), ConfigError,
+     "MNOT device on-resistance (1.2e+07 ohm) must lie below the divider's R2 (1e+07 ohm)"),
+    (lambda: GateInstance(GateKind.MNOT, params=DeviceParams(v_ox=0.3)), ConfigError,
+     "MNOT constant source (0.3 V) must lie below the oxidation potential (0.3 V), "
      "or it potentiates the device on its own"),
     (lambda: GateInstance(GateKind.MNOT, params=DeviceParams(v_ox=0.25)), ConfigError,
      "MNOT constant source (0.3 V) must lie below the oxidation potential (0.25 V), "
