@@ -58,7 +58,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     graph = parse_circuit(circuit_text)
     stimulus = parse_stimulus(stimulus_text)
     trace = simulate(graph, stimulus, cfg, params=params)
-    write_trace(trace, args.out, {"circuit": circuit_text, "stimulus": stimulus_text}, params)
+    write_trace(trace, args.out, {"circuit": circuit_text, "stimulus": stimulus_text})
     print(f"wrote {len(trace.times)} records to {args.out}")
     return 0
 
@@ -86,12 +86,14 @@ def cmd_adder(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     cfg, params = _config_from(args)
     kind = GateKind(args.gate)
+    fixture_texts = {}
     if args.schedule:
-        schedule = parse_stimulus(_read(args.schedule))
+        fixture_texts["schedule"] = _read(args.schedule)
+        schedule = parse_stimulus(fixture_texts["schedule"])
     else:
         schedule = default_characterization_schedule(kind, cfg)
     trace = characterize_gate(kind, schedule, cfg, params=params)
-    write_trace(trace, args.out, params=params)
+    write_trace(trace, args.out, fixture_texts)
     print(f"wrote {len(trace.times)} records to {args.out}")
     return 0
 

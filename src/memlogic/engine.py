@@ -11,10 +11,11 @@ voltages through the proportionality constant ``b`` (V = I * b), chosen so
 that a fully saturated device driven at logic-1 reproduces logic-1 at the
 next input.  MNOT outputs are voltages already and pass through unchanged.
 
-:func:`simulate` samples every input terminal into a column once.  The
-netlist is acyclic, so at step k a gate depends only on its drivers at
-step k and on its own state; the engine therefore runs one gate at a time
-through every step, in topological order, with
+:func:`simulate` samples every input terminal into a column once, one
+constant run of samples per stimulus segment.  The netlist is acyclic, so
+at step k a gate depends only on its drivers at step k and on its own
+state; the engine therefore runs one gate at a time through every step,
+in topological order, with
 :meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
 columns.  Each value comes from the same float operations, in the same
 order, as stepping the gate one step at a time would give.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 
 from .device import ConfigError, DeviceParams, MemristorState, new_state
@@ -76,7 +78,7 @@ class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshol
         return int(round(self.horizon / self.dt))
 
 
-class Trace(namedtuple("Trace", "config columns")):
+class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     """Per-timestep record of every node voltage and device state, as one table.
 
     ``columns`` maps each CSV column name to its series, in CSV order:
@@ -84,13 +86,15 @@ class Trace(namedtuple("Trace", "config columns")):
     gate's), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
     ``g<ID>_x2`` per gate.  ``simulate`` packs every series as an
     ``array("d")``, 8 bytes a value; a hand-built table of lists reads the same.
-    Every column must hold the same number of records.
+    Every column must hold the same number of records.  ``params`` is the
+    ``DeviceParams`` the run used, which ``simulate`` sets; a hand-built
+    trace has none, and its sidecar records ``null``.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(cls, config: SimConfig, columns: dict[str, array]):
+    def __new__(cls, config: SimConfig, columns: dict[str, array], params: DeviceParams | None = None):
         if columns:
             first, *rest = columns
             records = len(columns[first])
@@ -98,7 +102,7 @@ class Trace(namedtuple("Trace", "config columns")):
                 if len(columns[name]) != records:
                     raise ValueError(f"column {name!r} has {len(columns[name])} records "
                                      f"but column {first!r} has {records}")
-        return super().__new__(cls, config, columns)
+        return super().__new__(cls, config, columns, params)
 
     @property
     def times(self) -> array:
@@ -157,35 +161,40 @@ class Trace(namedtuple("Trace", "config columns")):
         """Render the trace as CSV, values in 9-significant-digit scientific notation."""
         return "".join(self.csv_lines())
 
-    def metadata(self, fixture_texts: dict[str, str] | None = None, params: DeviceParams | None = None) -> dict:
-        """JSON-serializable sidecar: package version, config and device params echo (null if not given),
+    def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
+        """JSON-serializable sidecar: package version, config and device params echo (null if not set),
         columns, fixture hashes."""
         import hashlib
 
         from . import __version__
 
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
-        return {"version": __version__, "config": self.config._asdict(), "params": params._asdict() if params else None,
+        params = self.params._asdict() if self.params is not None else None
+        return {"version": __version__, "config": self.config._asdict(), "params": params,
                 "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
-def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> list[float]:
-    """A terminal's voltage at each of the ascending times, by ``Stimulus.value_at``'s rule.
+def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> array:
+    """A terminal's voltage at each of the ascending times: the volts of the first segment covering it.
 
-    A cursor walks the segments once.  Every segment it has passed ends at
-    or before the current time, so the segment under the cursor, when it
-    covers the time, is the first that does.  Any other time (at or past
-    the horizon, or in a gap) is left to ``value_at`` itself.
+    Each segment, in time order, fills the times from the first unfilled one
+    up to its end.  The segments before it end at or before those times, so
+    each time gets the first segment that covers it.  A first unfilled time
+    that the next segment starts after is covered by none: ``CoverageError``
+    naming that time, the same message as ``Stimulus`` gives for one lookup.
     """
     segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
-    pending = iter(segs)
-    seg = next(pending, None)
-    out = []
-    for t in starts:
-        while seg is not None and seg.end <= t:
-            seg = next(pending, None)
-        out.append(seg.volts if seg is not None and seg.start <= t < seg.end else stimulus.value_at(name, t))
-    return out
+    column = array("d")
+    lo = 0
+    for seg in segs:
+        if lo == len(starts) or not seg.start <= starts[lo]:  # a NaN start covers no time
+            break
+        hi = bisect_left(starts, seg.end, lo)
+        column += array("d", [seg.volts]) * (hi - lo)
+        lo = hi
+    if lo < len(starts):
+        raise CoverageError(f"terminal {name} has no segment covering t={starts[lo]}")
+    return column
 
 
 def simulate(
@@ -201,7 +210,7 @@ def simulate(
     has ``params`` and starts from its entry in ``states``, or fresh if it
     has none; ``states=final_states(trace, graph)`` continues an earlier
     run.  A ``states`` id that the netlist does not declare is a
-    ``ValueError``.
+    ``ValueError``.  The trace records ``params``.
     """
     cfg = cfg or SimConfig()
     params = params or DeviceParams()
@@ -223,7 +232,7 @@ def simulate(
     dt, steps = cfg.dt, cfg.steps
     starts = [k * dt for k in range(steps)]
     for name in graph.inputs:
-        columns[name] = array("d", _sample(stimulus, name, starts))
+        columns[name] = _sample(stimulus, name, starts)
     del starts
     for gate_id in topological_order(graph):
         sources = [columns[src if isinstance(src, str) else f"g{src}"] for src in nodes[gate_id].sources]
@@ -234,7 +243,7 @@ def simulate(
         columns[name] = columns[f"g{gate_id}"]
     # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.
     columns["t_ms"] = array("d", [k * dt + dt for k in range(steps)])
-    return Trace(cfg, columns)
+    return Trace(cfg, columns, params)
 
 
 def final_states(trace: Trace, graph: CircuitGraph) -> dict[int, MemristorState]:
@@ -276,13 +285,12 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     return settled
 
 
-def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None,
-                params: DeviceParams | None = None) -> None:
+def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
     """Write the CSV trace, streamed line by line, and its JSON metadata sidecar."""
     import json
 
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(trace.csv_lines())
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(trace.metadata(fixture_texts, params), fh, indent=2, sort_keys=True)
+        json.dump(trace.metadata(fixture_texts), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -109,7 +109,11 @@ Segment = namedtuple("Segment", "start end volts")
 class Stimulus(namedtuple("Stimulus", "segments horizon_ms")):
     """Piecewise-constant input waveforms covering [0, horizon_ms].
 
-    ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per terminal.
+    ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per
+    terminal, the segments in time order (ascending ``start``), as
+    ``parse_stimulus`` leaves them.  ``simulate`` samples them in that order,
+    so a segment out of order is a ``CoverageError`` there even where
+    ``value_at`` would find it.
     """
 
     __slots__ = ()

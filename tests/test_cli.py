@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, diagnostics, artifact files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,18 @@ def test_characterize_sidecar_records_device_params(tmp_path):
     assert main(["characterize", "--gate", "MOR", "--out", str(out), "--vred", "-0.2"]) == 0
     meta = json.loads((tmp_path / "mor.csv.meta.json").read_text())
     assert meta["params"] == DeviceParams(v_red=-0.2)._asdict()
+    assert meta["fixtures"] == {}  # a canned schedule has no fixture text
+
+
+def test_characterize_sidecar_records_the_schedule(tmp_path):
+    text = "format memlogic/1\nIN1: 0..50=0.1, 50..120=0.6, 120..200=0.1\nIN2: 0..200=0.1\n"
+    schedule = tmp_path / "schedule.mls"
+    schedule.write_text(text)
+    out = tmp_path / "mor.csv"
+    assert main(["characterize", "--gate", "MOR", "--schedule", str(schedule), "--horizon", "200",
+                 "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "mor.csv.meta.json").read_text())
+    assert meta["fixtures"] == {"schedule": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def test_run_is_byte_identical(tmp_path):

@@ -1,7 +1,9 @@
-"""Pinned sha256 of the trace CSV for every adder pattern at dt = 1 and dt = 0.5.
+"""Pinned sha256 of the trace CSV for every adder pattern at dt = 1, 0.5 and 0.7.
 
 Any engine or CSV rewrite must reproduce these bytes exactly.  The dt = 1
-values equal the ``adder8/*`` pins of ``benchmarks/pins.json``.
+values equal the ``adder8/*`` pins of ``benchmarks/pins.json``.  At
+dt = 0.7 the 100 ms onset falls between step times (99.4 and 100.1 ms)
+and the dt grid cuts the horizon at 399.7 ms.
 """
 
 import hashlib
@@ -31,6 +33,16 @@ PINS = {
         "101": "7c109a89ec0530367ba2009f414667b791f5d499b5d264590a8793f3b30f7c95",
         "110": "0f2e510dac3e9c9c2ffb1f5b4c5b4b03f1eba312d413e9890cb1c7def9e03a13",
         "111": "3e5c791c52187001ea1a9add10219278548c340626df8aa51c57ba6eee8e8c8e",
+    },
+    0.7: {
+        "000": "74bf029f1e390a79b925926bd4b7cfb5468e7c5a8802bf6409e4372eafebde3f",
+        "001": "08356d0c08decee4c9955cf610be06a030f2881bc8a037f0bfa4abf6857e85e5",
+        "010": "d4d8a07dcc42ee6e9db87022fc291027c20eb5e8a1bbe3926512deb2dabf9c1e",
+        "011": "689a100150ef615958a7922c8527519b3a987c1b66377d8f1f0d99bf025e1457",
+        "100": "c5b87687e1821882a6136634829e777f303800ab15f42aaf2157288cf989ff1d",
+        "101": "436861a701736c4d679bab0ec58c7451d35351d5a4f829b7dc05f6ec3f54af8f",
+        "110": "bfbb359cd000aa2fc9fcf0d141b3bd32290154d14db41f8b76042b0e1380ab53",
+        "111": "d2b658cc93b79876e27e7e0ef56057e16128a931cd53bc0c7d5bd2730dad2b48",
     },
 }
 

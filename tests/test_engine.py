@@ -1,6 +1,7 @@
 """Engine semantics: conversion, propagation, determinism, readout."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from array import array
@@ -14,11 +15,13 @@ from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
     Trace,
+    _sample,
     classify,
     final_states,
     read_binary,
     settle_time,
     simulate,
+    write_trace,
 )
 from memlogic.harness import build_full_adder, make_pattern_stimulus
 from memlogic.netlist import (
@@ -30,6 +33,7 @@ from memlogic.netlist import (
     parse_circuit,
     parse_stimulus,
 )
+from test_engine_oracle import DT, VOLTS
 
 PARAMS = DeviceParams()
 
@@ -199,6 +203,60 @@ def test_two_chained_runs_end_where_one_run_of_both_ends(volts, dt, n):
     assert ends(second) == ends(whole)
 
 
+@st.composite
+def ordered_segments(draw, dt, steps):
+    """One terminal's segments in time order, with gaps and overlaps, each bound on a step
+    time or one ulp either side of it."""
+    def near_step(k):
+        t = k * dt
+        return draw(st.sampled_from([math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]))
+
+    firsts = sorted([0, *draw(st.lists(st.integers(0, steps + 1), max_size=5))])
+    segs = []
+    for i, k in enumerate(firsts):
+        upto = firsts[i + 1] if i + 1 < len(firsts) else steps + 1
+        # Abut the next segment, stop short of it, or run past its start.
+        end = upto + draw(st.sampled_from([0, 0, 0, -1, 1, 3]))
+        segs.append(Segment(near_step(k), near_step(end), draw(VOLTS)))
+    return tuple(sorted(segs, key=lambda seg: seg.start))
+
+
+def sampled(sample):
+    """The bytes of a sampled column, or the message of the ``CoverageError`` raised instead."""
+    try:
+        return sample().tobytes()
+    except CoverageError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_sample_by_segment_matches_value_at_per_time(data):
+    dt = data.draw(DT)
+    steps = data.draw(st.integers(1, 60))
+    segs = data.draw(ordered_segments(dt, steps))
+    stim = Stimulus((("B", (Segment(0.0, steps * dt, 9.0),)), ("A", segs)), steps * dt)
+    starts = [k * dt for k in range(steps)]
+    got = sampled(lambda: _sample(stim, "A", starts))
+    assert got == sampled(lambda: array("d", [stim.value_at("A", t) for t in starts]))
+
+
+def test_segment_with_a_nan_start_covers_no_time():
+    stim = Stimulus((("A", (Segment(math.nan, 20.0, 0.6),)),), 20.0)
+    starts = [k * 1.0 for k in range(20)]
+    assert sampled(lambda: _sample(stim, "A", starts)) == "terminal A has no segment covering t=0.0"
+    with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=0\.0$"):
+        stim.value_at("A", 0.0)
+
+
+def test_out_of_order_segments_are_a_coverage_error():
+    graph = parse_circuit("input A\ngate 1 MNOT A\n")
+    stim = Stimulus((("A", (Segment(10.0, 20.0, 0.6), Segment(0.0, 10.0, 0.1))),), 20.0)
+    assert stim.value_at("A", 0.0) == 0.1
+    with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=0\.0$"):
+        simulate(graph, stim, SimConfig(horizon=20.0))
+
+
 class TestTraceExport:
     def test_csv_shape_and_format(self):
         graph = parse_circuit(SINGLE_MOR)
@@ -229,6 +287,19 @@ class TestTraceExport:
         assert meta["config"]["b"] == 1.5e6
         assert len(meta["fixtures"]["circuit"]) == 64
         assert meta["version"] == memlogic.__version__
+
+    def test_sidecar_records_the_params_the_run_used(self, tmp_path):
+        graph = parse_circuit(SINGLE_MOR)
+        stim = parse_stimulus(stimulus("0..400=0.1", "0..400=0.1"))
+        params = DeviceParams(v_ox=0.45, t1=20.0)
+        write_trace(simulate(graph, stim, params=params), str(tmp_path / "trace.csv"))
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["params"] == params._asdict()
+        assert simulate(graph, stim).metadata()["params"] == DeviceParams()._asdict()
+
+    def test_hand_built_trace_records_null_params(self, tmp_path):
+        write_trace(synthetic_trace([0.1, 0.2]), str(tmp_path / "trace.csv"))
+        assert json.loads((tmp_path / "trace.csv.meta.json").read_text())["params"] is None
 
 
 class TestPackedTrace:
