@@ -27,6 +27,8 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from functools import reduce
+from itertools import accumulate
 
 from .device import ConfigError, DeviceParams, MemristorState, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
@@ -82,13 +84,13 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     """Per-timestep record of every node voltage and device state, as one table.
 
     ``columns`` maps each CSV column name to its series, in CSV order:
-    ``t_ms``, the input terminals, the probes (each the same series as its
-    gate's), ``g<ID>`` per gate, then ``g<ID>_I``, ``g<ID>_x1`` and
-    ``g<ID>_x2`` per gate.  ``simulate`` packs every series as an
-    ``array("d")``, 8 bytes a value; a hand-built table of lists reads the same.
-    Every column must hold the same number of records.  ``params`` is the
-    ``DeviceParams`` the run used, which ``simulate`` sets; a hand-built
-    trace has none, and its sidecar records ``null``.
+    ``t_ms``, the input terminals, the probes, ``g<ID>`` per gate, then
+    ``g<ID>_I``, ``g<ID>_x1`` and ``g<ID>_x2`` per gate.  Columns may share one
+    array: a probe's is its gate's, and a twin gate's are its first twin's.
+    ``simulate`` packs every series as an ``array("d")``, 8 bytes a value; a hand-built
+    table of lists reads the same.  Every column must hold the same number of records.
+    ``params`` is the ``DeviceParams`` the run used, which ``simulate`` sets; a
+    hand-built trace has none, and its sidecar records ``null``.
     """
 
     __slots__ = ()
@@ -174,27 +176,35 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
                 "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
 
 
-def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> array:
-    """A terminal's voltage at each of the ascending times: the volts of the first segment covering it.
+def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> tuple[array, list[tuple[int, int]]]:
+    """A terminal's voltage at each of the ascending times, the volts of the first segment covering it, and its runs.
 
-    Each segment, in time order, fills the times from the first unfilled one
-    up to its end.  The segments before it end at or before those times, so
-    each time gets the first segment that covers it.  A first unfilled time
-    that the next segment starts after is covered by none: ``CoverageError``
-    naming that time, the same message as ``Stimulus`` gives for one lookup.
+    Each segment, in time order, fills the times from the first unfilled one, ``lo``, up to its end, ``hi``,
+    and a fill that is not empty is the run ``(lo, hi)``.  The segments before it end at or before those times,
+    so each time gets the first segment that covers it.  A first unfilled time that the next segment starts
+    after is covered by none: ``CoverageError`` naming that time, the message ``Stimulus`` gives for one lookup.
     """
     segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
-    column = array("d")
-    lo = 0
+    column, runs, lo = array("d"), [], 0
     for seg in segs:
         if lo == len(starts) or not seg.start <= starts[lo]:  # a NaN start covers no time
             break
         hi = bisect_left(starts, seg.end, lo)
         column += array("d", [seg.volts]) * (hi - lo)
+        if lo < hi:
+            runs.append((lo, hi))
         lo = hi
     if lo < len(starts):
         raise CoverageError(f"terminal {name} has no segment covering t={starts[lo]}")
-    return column
+    return column, runs
+
+
+def _common_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The step ranges inside a run of each of two ascending, disjoint run lists."""
+    spans = sorted(a + b)
+    # The furthest end before each run: a run that starts before it overlaps the other list's run ending there.
+    reach = accumulate((hi for _, hi in spans), max, initial=0)
+    return [(lo, min(hi, r)) for (lo, hi), r in zip(spans, reach) if lo < r]
 
 
 def simulate(
@@ -231,14 +241,19 @@ def simulate(
 
     dt, steps = cfg.dt, cfg.steps
     starts = [k * dt for k in range(steps)]
+    runs, twins = {}, {}  # each column's constant runs, as far as they are known; each set of twins' series
     for name in graph.inputs:
-        columns[name] = _sample(stimulus, name, starts)
+        columns[name], runs[name] = _sample(stimulus, name, starts)
     del starts
     for gate_id in topological_order(graph):
-        sources = [columns[src if isinstance(src, str) else f"g{src}"] for src in nodes[gate_id].sources]
+        nets = [src if isinstance(src, str) else f"g{src}" for src in nodes[gate_id].sources]
+        gate, sources = gates[gate_id], [columns[net] for net in nets]
+        # Twins (one kind, the same source series in order, bitwise-equal states) share the first one's arrays.
+        key = (gate.kind, *map(id, sources), *(float(x).hex() for x in gate.state))
+        if key not in twins:
+            twins[key] = gate.run(sources, dt, cfg.b, reduce(_common_runs, [runs[net] for net in nets]))
         g = f"g{gate_id}"
-        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"] = gates[gate_id].run(
-            sources, dt, cfg.b)
+        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"], runs[g] = twins[key]
     for name, gate_id in graph.outputs:
         columns[name] = columns[f"g{gate_id}"]
     # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from enum import Enum
+from itertools import chain
 
 from .device import ConfigError, DeviceParams, MemristorState, new_state
 # ``step`` stays importable here because the benchmark tracer wraps ``memlogic.gates.step``.
@@ -76,20 +77,20 @@ class GateInstance:
             raise ValueError(f"{self.kind.value} expects {self.kind.arity} input(s), got {len(inputs)}")
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return self.run([[v] for v in inputs], dt, 1.0)[0][0]
+        return self.run([*zip(inputs)], dt, 1.0)[0][0]
 
-    def run(self, sources: list[array], dt: float, b: float):
-        """Advance the gate through every step; return its voltage, current, x1 and x2 series, packed.
+    def run(self, sources: list[array], dt: float, b: float, runs=()):
+        """Advance the gate through every step; return its voltage, current, x1 and x2 series, packed, and held runs.
 
-        ``sources`` are the drivers' voltage series and ``b`` converts the
-        MOR/MAND output current to a node voltage.  The final device state
-        is written back to ``self.state``.  The loops run on lists, whose
-        ``append`` is fastest, and each finished series is packed once.
+        ``sources`` are the drivers' voltage series, each constant over every ascending ``(lo, hi)`` range in
+        ``runs``; ``b`` converts the MOR/MAND output current to a node voltage.  A held run, one whose drive lies
+        strictly inside the hold window, repeats its first step in all four series, bit for bit.  The final
+        state goes to ``self.state``.  Loops run on lists, whose ``append`` is fastest; each series is packed once.
         """
         p = self.params
         if self.kind is GateKind.MOR:
-            # The stronger input sets the drive, so two active inputs do not overdrive it beyond one.
-            drive = list(map(max, *sources))
+            # The stronger input sets the drive, so two active inputs do not overdrive it; max()'s bits: u unless w > u.
+            drive = [w if w > u else u for u, w in zip(*sources)]
         elif self.kind is GateKind.MAND:
             # The summed inputs, halved by the divider.
             drive = [(u + w) / 2.0 for u, w in zip(*sources)]
@@ -104,9 +105,12 @@ class GateInstance:
         e1p, e2p = math.exp(-dt / p.t1), math.exp(-dt / p.t2)
         e1d, e2d = math.exp(-dt / p.t1_dep), math.exp(-dt / p.t2_dep)
         v_ox, v_red = p.v_ox, p.v_red
+        held = runs and [(lo, hi) for lo, hi in runs if v_red < drive[lo] < v_ox]
+        if held:  # step each held run's first step only; ``_fill`` puts its other steps back
+            cuts = [0, *(cut for lo, hi in held for cut in (lo + 1, hi)), len(drive)]
+            drive = list(chain.from_iterable(drive[a:e] for a, e in zip(cuts[::2], cuts[1::2])))
         x1, x2 = self.state.x1, self.state.x2
-        x1s: list[float] = []
-        x2s: list[float] = []
+        x1s, x2s = [], []
         for v in drive:
             if v >= v_ox:
                 x1 = x1 * e1p
@@ -134,4 +138,15 @@ class GateInstance:
         else:
             # Ohmic readout at the drive, then the B conversion to a node voltage.
             volts = [i / v_ref * v * b for i, v in zip(currents, drive)]
-        return array("d", volts), array("d", currents), x1s, x2s
+        series = array("d", volts), array("d", currents), x1s, x2s, held
+        return (*(_fill(s, held) for s in series[:4]), held) if held else series
+
+
+def _fill(kept: array, held) -> array:
+    """A series stepped on each held run's first step only, with the run's other steps put back as repeats."""
+    out, a = array("d"), 0
+    for lo, hi in held:
+        b = a + lo + 1 - len(out)
+        out += kept[a:b] + kept[b - 1:b] * (hi - lo - 1)
+        a = b
+    return out + kept[a:]

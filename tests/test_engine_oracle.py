@@ -8,11 +8,12 @@ compiled one replaced: each step samples every input with
 topological order.  Neither calls gate code from ``src/``; a
 ``GateInstance`` only holds a gate's kind, params and state, and the MNOT
 divider is read from the ``gates`` module's constants.  The properties run
-the engine on random acyclic netlists and piecewise stimuli, each run with
-one ``params`` and drawn starting ``states``, and ``GateInstance.step`` on
-random input sequences, and require every value and every final device
-state to match bit for bit (compared as ``float.hex``, so signed zeros
-count).
+the engine on random acyclic netlists, some with twin gates, and piecewise
+stimuli, each run with one ``params`` and drawn starting ``states``, and
+``GateInstance.step`` on random input sequences, and require every value
+and every final device state to match bit for bit (compared as
+``float.hex``, so signed zeros count).  Hand-built cases pin the held-run
+and twin edges: threshold and NaN drives, signed-zero starts and sources.
 """
 
 import copy
@@ -109,7 +110,7 @@ PARAMS = [
     DeviceParams(t1=7.0, t2=90.0, t1_dep=20.0, t2_dep=400.0, v_ox=0.45, v_red=-0.05),
     DeviceParams(a1=-2e-7, a2=-2e-7, v_ox=0.55, v_red=-0.15),
 ]
-FRACTION = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+FRACTION = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -117,12 +118,18 @@ def netlists(draw):
     n_inputs = draw(st.integers(1, 3))
     inputs = [f"I{i}" for i in range(n_inputs)]
     n_gates = draw(st.integers(1, 20))
-    gate_lines = []
+    gates = []
     for gate_id in range(1, n_gates + 1):
-        kind = draw(st.sampled_from(list(GateKind)))
-        pool = inputs + [str(i) for i in range(1, gate_id)]
-        srcs = [draw(st.sampled_from(pool)) for _ in range(kind.arity)]
-        gate_lines.append(f"gate {gate_id} {kind.value} {' '.join(srcs)}")
+        if gates and draw(st.integers(0, 3)) == 0:
+            # A twin: an earlier gate's kind and sources, sometimes swapped, under a new id.
+            kind, srcs = draw(st.sampled_from(gates))
+            srcs = srcs[::-1] if draw(st.booleans()) else srcs
+        else:
+            kind = draw(st.sampled_from(list(GateKind)))
+            pool = inputs + [str(i) for i in range(1, gate_id)]
+            srcs = [draw(st.sampled_from(pool)) for _ in range(kind.arity)]
+        gates.append((kind, srcs))
+    gate_lines = [f"gate {i} {kind.value} {' '.join(srcs)}" for i, (kind, srcs) in enumerate(gates, 1)]
     gate_lines = draw(st.permutations(gate_lines))  # declaration order need not be topological
     probes = draw(st.lists(st.integers(1, n_gates), max_size=3, unique=True))
     text = "".join(f"input {n}\n" for n in inputs) + "\n".join(gate_lines) + "\n"
@@ -146,7 +153,8 @@ def stimuli(draw, names, horizon):
 def test_compiled_engine_matches_reference_bit_for_bit(data):
     graph = data.draw(netlists())
     dt = data.draw(DT)
-    horizon = data.draw(st.floats(1.0, 100.0)) * dt
+    # Up to 300 steps, so that a few cuts leave long constant segments: held runs and twins.
+    horizon = data.draw(st.floats(1.0, 300.0)) * dt
     stim = data.draw(stimuli(graph.inputs, horizon + data.draw(st.sampled_from([0.0, dt, 3.3]))))
     cfg = SimConfig(dt=dt, horizon=horizon)
     params = data.draw(st.sampled_from(PARAMS))
@@ -203,3 +211,74 @@ def test_gap_in_hand_built_stimulus_is_a_coverage_error():
         reference_simulate(graph, stim, cfg)
     with pytest.raises(CoverageError):
         simulate(graph, stim, cfg)
+
+
+def run_both(text, terminals, horizon, params=None, states=None):
+    """The engine's trace, checked bit for bit against the reference's, at dt = 1 ms."""
+    graph = parse_circuit(text)
+    stim = Stimulus(tuple((name, tuple(Segment(*seg) for seg in segs)) for name, segs in terminals.items()), horizon)
+    cfg = SimConfig(horizon=horizon)
+    got = simulate(graph, stim, cfg, params, states)
+    want, want_states = reference_simulate(graph, stim, cfg, params, states)
+    assert hexed(got) == hexed(want)
+    assert state_hex(final_states(got, graph)) == state_hex(want_states)
+    return got
+
+
+def test_a_drive_run_ends_where_either_source_run_ends():
+    """A holds over the whole run and B leaves the hold window half way: the MAND drive is held
+    for the first half only, whichever source is named first."""
+    got = run_both("input A\ninput B\ngate 1 MAND A B\ngate 2 MAND B A\ngate 3 MOR 1 A\n",
+                   {"A": [(0.0, 20.0, 0.1)], "B": [(0.0, 10.0, 0.1), (10.0, 20.0, 0.9)]}, 20.0)
+    assert len(set(got.columns["g1_x1"][9:11])) == 2
+
+
+def test_twins_share_arrays_only_from_bitwise_equal_states():
+    text = ("input A\ngate 1 MAND A A\ngate 2 MAND A A\ngate 3 MAND A A\ngate 4 MAND A A\n"
+            "gate 5 MNOT 3\ngate 6 MNOT 4\n")
+    states = {1: MemristorState(0.0, 1.0), 2: MemristorState(-0.0, 1.0)}
+    got = run_both(text, {"A": [(0.0, 10.0, 0.1), (10.0, 20.0, 0.6)]}, 20.0, states=states)
+    # 3 and 4 start fresh, so they are twins, and so are 5 and 6 on their shared output; 1 and 2 are not.
+    for a, b in ((3, 4), (5, 6)):
+        assert all(got.columns[f"g{a}{part}"] is got.columns[f"g{b}{part}"] for part in ("", "_I", "_x1", "_x2"))
+    assert got.columns["g1_x1"] is not got.columns["g2_x1"]
+    assert {v.hex() for v in got.columns["g1_x1"][:10]} == {"0x0.0p+0"}
+    assert {v.hex() for v in got.columns["g2_x1"][:10]} == {"-0x0.0p+0"}
+
+
+def test_mor_twins_with_swapped_signed_zero_sources_stay_separate():
+    got = run_both("input A\ninput B\ngate 1 MOR A B\ngate 2 MOR B A\n",
+                   {"A": [(0.0, 10.0, 0.0)], "B": [(0.0, 10.0, -0.0)]}, 10.0)
+    assert {v.hex() for v in got.columns["g1"]} == {"0x0.0p+0"}
+    assert {v.hex() for v in got.columns["g2"]} == {"-0x0.0p+0"}
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_drive_on_a_threshold_or_nan_is_stepped_not_held(params):
+    """A run driven at exactly v_ox or v_red, or at NaN, goes through the step loop; only the
+    open window v_red < v < v_ox holds."""
+    edges = [params.v_ox, params.v_red, math.nan, (params.v_ox + params.v_red) / 2]
+    gate = GateInstance(GateKind.MOR, params, MemristorState(0.5, 0.25))
+    source = [v for v in edges for _ in range(5)]
+    runs = [(k, k + 5) for k in range(0, 20, 5)]
+    assert gate.run([source, source], 1.0, 1.5e6, runs)[4] == [(15, 20)]
+    run_both("input A\ngate 1 MOR A A\ngate 2 MAND A A\n",
+             {"A": [(5.0 * i, 5.0 * i + 5.0, v) for i, v in enumerate(edges)]}, 20.0, params,
+             {1: MemristorState(0.5, 0.25), 2: MemristorState(0.5, 0.25)})
+
+
+def test_final_states_of_an_aliased_twin_continue_the_run():
+    text = "input A\ninput B\ngate 1 MAND A B\ngate 2 MAND A B\ngate 3 MOR 1 B\ngate 4 MOR 2 B\n"
+    graph = parse_circuit(text)
+    segs = {"A": (Segment(0.0, 30.0, 0.1), Segment(30.0, 60.0, 0.6)), "B": (Segment(0.0, 60.0, 0.6),)}
+    cfg = SimConfig(horizon=30.0)
+    first = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items()), 60.0), cfg)
+    assert first.columns["g3_x1"] is first.columns["g4_x1"]
+    rest = Stimulus(tuple((n, tuple(Segment(g.start - 30.0, g.end - 30.0, g.volts) for g in s if g.end > 30.0))
+                          for n, s in segs.items()), 30.0)
+    second = simulate(graph, rest, cfg, states=final_states(first, graph))
+    whole = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items()), 60.0), SimConfig(horizon=60.0))
+    for node in graph.nodes:
+        for part in ("", "_I", "_x1", "_x2"):
+            name = f"g{node.id}{part}"
+            assert second.column(name).tobytes() == whole.column(name)[30:].tobytes()
