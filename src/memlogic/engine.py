@@ -42,6 +42,10 @@ ONSET_MS = 100.0
 # Records per CSV block.  Each block rebuilds its row template, which for a wide table
 # (ripple32: 1635 columns) costs more than it saves below about 256 rows.
 _CSV_BLOCK = 256
+# Bytes of CSV text a chunk holds before the next record starts a new one.  A whole block of a wide
+# table (ripple32: 25 kB a record, 6.4 MB a block) would raise peak memory; far smaller chunks cost a
+# write call each.
+_CSV_CHUNK = 1 << 16
 
 
 class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshold_low threshold_high",
@@ -90,7 +94,8 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     ``simulate`` packs every series as an ``array("d")``, 8 bytes a value; a hand-built
     table of lists reads the same.  Every column must hold the same number of records.
     ``params`` is the ``DeviceParams`` the run used, which ``simulate`` sets; a
-    hand-built trace has none, and its sidecar records ``null``.
+    hand-built trace has none, and its sidecar records ``null``.  :meth:`csv_chunks`
+    is the one CSV renderer: UTF-8 bytes, in chunks of whole records.
     """
 
     __slots__ = ()
@@ -129,39 +134,48 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     def csv_columns(self) -> list[str]:
         return list(self.columns)
 
-    def csv_lines(self):
-        """Yield the CSV text line by line: the header, then one line per record.
+    def csv_chunks(self):
+        """Yield the CSV as UTF-8 bytes: the header, then the records in chunks of whole records.
 
-        Values are in 9-significant-digit scientific notation; ``"%.8e"``
-        renders a float exactly as ``f"{v:.8e}"`` does.  Records are rendered
-        in blocks of ``_CSV_BLOCK``.  A column whose doubles are bit-identical
-        across a block has its text written once into that block's row
-        template, and only the other columns are formatted per record.  This
-        is exact: the compare is bitwise, so ``-0.0``, NaN payloads and
-        ``inf`` are never merged with other values; the baked text is the same
-        ``%`` conversion of the same double; and ``"%.8e"`` text holds no
-        ``%`` to act as a conversion spec.
+        Values are in 9-significant-digit scientific notation; ``b"%.8e"``
+        renders a float as the ASCII of ``f"{v:.8e}"``.  Records are rendered
+        in blocks of ``_CSV_BLOCK``, and a chunk ends at its block's end or at
+        the first record end at or past ``_CSV_CHUNK`` bytes.  A column whose
+        doubles are bit-identical across a block has its text written once
+        into that block's row template, and only the other columns are
+        formatted per record.  This is exact: the compare is bitwise, so
+        ``-0.0``, NaN payloads and ``inf`` are never merged with other values;
+        the baked text is the same ``%`` conversion of the same double; and
+        ``"%.8e"`` text holds no ``%`` to act as a conversion spec.
         """
-        yield ",".join(self.columns) + "\n"
+        yield (",".join(self.columns) + "\n").encode()
         columns = [c if isinstance(c, array) else array("d", c) for c in self.columns.values()]
-        records = min(map(len, columns), default=0)
-        templates: dict[tuple, str] = {}  # keyed by each column's first bytes in the block, None if it varies
+        records = len(columns[0]) if columns else 0
+        templates: dict[tuple, bytes] = {}  # keyed by each column's first bytes in the block, None if it varies
         for a in range(0, records, _CSV_BLOCK):
             b = min(a + _CSV_BLOCK, records)
             firsts = [c[a:a + 1].tobytes() for c in columns]
             key = tuple(f if c[a:b].tobytes() == f * (b - a) else None for f, c in zip(firsts, columns))
             template = templates.get(key)
             if template is None:
-                template = templates[key] = ",".join(
-                    "%.8e" if k is None else "%.8e" % c[a] for k, c in zip(key, columns)) + "\n"
+                template = templates[key] = b",".join(
+                    b"%.8e" if k is None else b"%.8e" % c[a] for k, c in zip(key, columns)) + b"\n"
             # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
             varying = [memoryview(c)[a:b] for k, c in zip(key, columns) if k is None]
-            # zip() of no columns gives no rows, so a block with every column constant repeats its template.
-            yield from (map(template.__mod__, zip(*varying)) if varying else [template] * (b - a))
+            # One ``%`` per record, appended to a chunk begun after the block's temporaries: a chunk carried
+            # across blocks raised fine_dt's peak memory.  zip() of no columns gives no rows, so a block with
+            # every column constant repeats its template.
+            chunk = bytearray()
+            for row in map(template.__mod__, zip(*varying)) if varying else [template] * (b - a):
+                if len(chunk) >= _CSV_CHUNK:
+                    yield chunk
+                    chunk = bytearray()
+                chunk += row
+            yield chunk
 
     def to_csv(self) -> str:
-        """Render the trace as CSV, values in 9-significant-digit scientific notation."""
-        return "".join(self.csv_lines())
+        """Render the trace as CSV text, values in 9-significant-digit scientific notation."""
+        return b"".join(self.csv_chunks()).decode()
 
     def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
         """JSON-serializable sidecar: package version, config and device params echo (null if not set),
@@ -301,11 +315,11 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
 
 
 def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
-    """Write the CSV trace, streamed line by line, and its JSON metadata sidecar."""
+    """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar."""
     import json
 
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(trace.csv_lines())
+    with open(csv_path, "wb") as fh:
+        fh.writelines(trace.csv_chunks())
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(trace.metadata(fixture_texts), fh, indent=2, sort_keys=True)
         fh.write("\n")

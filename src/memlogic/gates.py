@@ -42,7 +42,11 @@ class GateKind(Enum):
 
     @property
     def arity(self) -> int:
-        return 1 if self is GateKind.MNOT else 2
+        return 1 if self is _MNOT else 2
+
+
+# Looked up once: each ``GateKind.X`` goes through ``EnumType.__getattr__``, several times a plain attribute's cost.
+_MOR, _MAND, _MNOT = GateKind.MOR, GateKind.MAND, GateKind.MNOT
 
 
 class GateInstance:
@@ -57,7 +61,7 @@ class GateInstance:
     def __init__(self, kind: GateKind, params: DeviceParams = DeviceParams(),
                  state: MemristorState = new_state()) -> None:
         self.kind, self.params, self.state = kind, params, state
-        if kind is GateKind.MNOT:
+        if kind is _MNOT:
             on_resistance = params.v_ref / params.c
             if not on_resistance < R2:
                 raise ConfigError(f"MNOT device on-resistance ({on_resistance:g} ohm) must lie below "
@@ -82,16 +86,18 @@ class GateInstance:
     def run(self, sources: list[array], dt: float, b: float, runs=()):
         """Advance the gate through every step; return its voltage, current, x1 and x2 series, packed, and held runs.
 
-        ``sources`` are the drivers' voltage series, each constant over every ascending ``(lo, hi)`` range in
-        ``runs``; ``b`` converts the MOR/MAND output current to a node voltage.  A held run, one whose drive lies
-        strictly inside the hold window, repeats its first step in all four series, bit for bit.  The final
-        state goes to ``self.state``.  Loops run on lists, whose ``append`` is fastest; each series is packed once.
+        ``sources`` are the drivers' voltage series, each constant over every ``(lo, hi)`` step range in
+        ``runs``; ``b`` converts the MOR/MAND output current to a node voltage.  The ranges must be non-empty,
+        ascending, disjoint and within the series, or ``ValueError`` names the first that is not.  A held run,
+        one whose drive lies strictly inside the hold window, repeats its first step in all four series, bit for
+        bit.  The final state goes to ``self.state``.  Loops run on lists, whose ``append`` is fastest; each
+        series is packed once.
         """
         p = self.params
-        if self.kind is GateKind.MOR:
+        if self.kind is _MOR:
             # The stronger input sets the drive, so two active inputs do not overdrive it; max()'s bits: u unless w > u.
             drive = [w if w > u else u for u, w in zip(*sources)]
-        elif self.kind is GateKind.MAND:
+        elif self.kind is _MAND:
             # The summed inputs, halved by the divider.
             drive = [(u + w) / 2.0 for u, w in zip(*sources)]
         else:
@@ -105,9 +111,14 @@ class GateInstance:
         e1p, e2p = math.exp(-dt / p.t1), math.exp(-dt / p.t2)
         e1d, e2d = math.exp(-dt / p.t1_dep), math.exp(-dt / p.t2_dep)
         v_ox, v_red = p.v_ox, p.v_red
+        end, steps = 0, len(drive)
+        for lo, hi in runs:
+            if not end <= lo < hi <= steps:
+                raise ValueError(f"run {(lo, hi)} is empty, unsorted, overlapping or outside the {steps} steps")
+            end = hi
         held = runs and [(lo, hi) for lo, hi in runs if v_red < drive[lo] < v_ox]
         if held:  # step each held run's first step only; ``_fill`` puts its other steps back
-            cuts = [0, *(cut for lo, hi in held for cut in (lo + 1, hi)), len(drive)]
+            cuts = [0, *(cut for lo, hi in held for cut in (lo + 1, hi)), steps]
             drive = list(chain.from_iterable(drive[a:e] for a, e in zip(cuts[::2], cuts[1::2])))
         x1, x2 = self.state.x1, self.state.x2
         x1s, x2s = [], []
@@ -127,7 +138,7 @@ class GateInstance:
         currents = [a1 * u + a2 * w + c for u, w in zip(x1s, x2s)]
         x1s = array("d", x1s)
         x2s = array("d", x2s)
-        if self.kind is GateKind.MNOT:
+        if self.kind is _MNOT:
             # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
             r12, v_rail, g_off = R1 + R2, V_RAIL, 1.0 / R_OFF_CAP
             volts = []

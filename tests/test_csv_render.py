@@ -1,9 +1,10 @@
 """The block CSV renderer against the plain one-template renderer it replaced.
 
-``Trace.csv_lines`` bakes the text of each column that is bit-constant over
-a block of records into that block's row template.  ``plain_csv_lines``
-formats every cell of every record with one template; it is the reference
-the property holds the block renderer to, line for line.
+``Trace.csv_chunks`` renders the CSV as UTF-8 bytes, in chunks of whole
+records, and bakes the text of each column that is bit-constant over a
+block of records into that block's row template.  ``plain_csv_lines`` formats every
+cell of every record as text with one template; it is the reference the
+property holds the block renderer to, byte for byte and line for line.
 """
 
 import math
@@ -14,7 +15,7 @@ from itertools import cycle, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.engine import SimConfig, Trace
+from memlogic.engine import _CSV_CHUNK, SimConfig, Trace, write_trace
 
 
 def plain_csv_lines(trace: Trace):
@@ -22,6 +23,23 @@ def plain_csv_lines(trace: Trace):
     yield ",".join(trace.columns) + "\n"
     row_format = ",".join(["%.8e"] * len(trace.columns)) + "\n"
     yield from map(row_format.__mod__, zip(*trace.columns.values()))
+
+
+def plain_csv(trace: Trace) -> bytes:
+    return "".join(plain_csv_lines(trace)).encode()
+
+
+def assert_renders_as_plain(trace: Trace) -> list[bytes]:
+    """The block renderer's bytes equal the plain renderer's, line for line; returns its chunks.
+
+    Each chunk ends on a record, and its text before that record is under ``_CSV_CHUNK`` bytes.
+    """
+    chunks = list(trace.csv_chunks())
+    assert b"".join(chunks).split(b"\n") == plain_csv(trace).split(b"\n")
+    for chunk in chunks:
+        assert chunk.endswith(b"\n")
+        assert chunk.rfind(b"\n", 0, -1) + 1 < _CSV_CHUNK
+    return chunks
 
 
 def _double(bits: int) -> float:
@@ -65,13 +83,36 @@ def test_block_renderer_matches_plain_renderer(rows, data):
     for name in columns:
         if data.draw(st.booleans(), label=f"{name} packed"):
             columns[name] = array("d", columns[name])
-    trace = Trace(SimConfig(), columns)
-    assert list(trace.csv_lines()) == list(plain_csv_lines(trace))
+    assert_renders_as_plain(Trace(SimConfig(), columns))
 
 
 @pytest.mark.parametrize("columns", [{}, {"t_ms": array("d")}, {"t_ms": [], "NET": []}])
 def test_table_without_records_renders_only_its_header(columns):
-    trace = Trace(SimConfig(), columns)
-    lines = list(trace.csv_lines())
-    assert lines == list(plain_csv_lines(trace))
-    assert lines == [",".join(columns) + "\n"]
+    chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
+    assert chunks == [(",".join(columns) + "\n").encode()]
+
+
+def test_wide_blocks_are_cut_into_chunks_of_whole_records():
+    """40 columns make a block of about 150 kB: a held block and a varying one each fill several chunks."""
+    times = [1.0] * BLOCK + [float(k) for k in range(BLOCK + 10)]
+    columns = {"t_ms": array("d", times), **{f"c{i}": [v / i for v in times] for i in range(1, 40)}}
+    chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
+    # The header, three chunks for each whole block, one for the last 10 records.
+    assert [len(c) >= _CSV_CHUNK for c in chunks] == [False, True, True, False, True, True, False, False]
+
+
+@given(st.one_of(st.floats(), st.sampled_from(SPECIALS), st.integers(0, 2**64 - 1).map(_double)))
+@settings(max_examples=500)
+def test_bytes_format_is_the_ascii_of_the_text_format(v):
+    assert b"%.8e" % v == ("%.8e" % v).encode("ascii")
+
+
+def test_non_ascii_column_name_is_written_as_utf8(tmp_path):
+    columns = {"t_ms": array("d", [1.0, 2.0]), "V\u00b5_\u0394": [0.5, -0.0]}
+    trace = Trace(SimConfig(horizon=2.0), columns)
+    assert_renders_as_plain(trace)
+    write_trace(trace, str(tmp_path / "trace.csv"))
+    header, *records = (tmp_path / "trace.csv").read_bytes().split(b"\n")
+    assert header == "t_ms,V\u00b5_\u0394".encode("utf-8") == b"t_ms,V\xc2\xb5_\xce\x94"
+    assert records == [b"1.00000000e+00,5.00000000e-01", b"2.00000000e+00,-0.00000000e+00", b""]
+    assert trace.to_csv().splitlines()[0] == "t_ms,V\u00b5_\u0394"

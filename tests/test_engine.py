@@ -33,6 +33,7 @@ from memlogic.netlist import (
     parse_circuit,
     parse_stimulus,
 )
+from test_csv_render import plain_csv
 from test_engine_oracle import DT, VOLTS
 
 PARAMS = DeviceParams()
@@ -331,15 +332,16 @@ class TestPackedTrace:
             tracemalloc.stop()
         assert peak <= 12 * len(trace.columns) * len(trace.times)
 
-    def test_csv_lines_render_arrays_as_lists(self):
+    def test_csv_chunks_render_arrays_as_lists(self):
         values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1]
         cfg = SimConfig(horizon=float(len(values)))
         times = [float(i + 1) for i in range(len(values))]
         listed = Trace(cfg, {"t_ms": times, "NET": values})
         packed = Trace(cfg, {"t_ms": array("d", times), "NET": array("d", values)})
-        lines = list(packed.csv_lines())
-        assert lines == list(listed.csv_lines())
-        assert [line.split(",")[1] for line in lines[1:4]] == ["-0.00000000e+00\n", "0.00000000e+00\n", "inf\n"]
+        lines = b"".join(packed.csv_chunks()).split(b"\n")
+        assert lines == b"".join(listed.csv_chunks()).split(b"\n")
+        assert lines == plain_csv(listed).split(b"\n")
+        assert [line.split(b",")[1] for line in lines[1:4]] == [b"-0.00000000e+00", b"0.00000000e+00", b"inf"]
 
 
 def synthetic_trace(values, cfg=None) -> Trace:

@@ -13,11 +13,13 @@ stimuli, each run with one ``params`` and drawn starting ``states``, and
 ``GateInstance.step`` on random input sequences, and require every value
 and every final device state to match bit for bit (compared as
 ``float.hex``, so signed zeros count).  Hand-built cases pin the held-run
-and twin edges: threshold and NaN drives, signed-zero starts and sources.
+and twin edges: threshold and NaN drives, signed-zero starts and sources,
+and ``GateInstance.run`` rejecting malformed runs.
 """
 
 import copy
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +267,23 @@ def test_drive_on_a_threshold_or_nan_is_stepped_not_held(params):
     run_both("input A\ngate 1 MOR A A\ngate 2 MAND A A\n",
              {"A": [(5.0 * i, 5.0 * i + 5.0, v) for i, v in enumerate(edges)]}, 20.0, params,
              {1: MemristorState(0.5, 0.25), 2: MemristorState(0.5, 0.25)})
+
+
+@pytest.mark.parametrize("runs,bad", [
+    ([(0, 10), (5, 20)], (5, 20)),  # overlapping
+    ([(10, 20), (0, 10)], (0, 10)),  # unsorted
+    ([(0, 5), (5, 5), (5, 20)], (5, 5)),  # empty
+    ([(0, 10), (10, 21)], (10, 21)),  # past the last step
+    ([(-1, 5)], (-1, 5)),  # before the first step
+])
+def test_malformed_runs_are_rejected_naming_the_first_bad_range(runs, bad):
+    state = MemristorState(0.5, 0.25)
+    gate = GateInstance(GateKind.MAND, PARAMS[0], state)
+    source = array("d", [0.1]) * 20
+    message = rf"^run \({bad[0]}, {bad[1]}\) is empty, unsorted, overlapping or outside the 20 steps$"
+    with pytest.raises(ValueError, match=message):
+        gate.run([source, source], 1.0, 1.5e6, runs)
+    assert gate.state is state
 
 
 def test_final_states_of_an_aliased_twin_continue_the_run():
