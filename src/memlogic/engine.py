@@ -141,36 +141,48 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
         renders a float as the ASCII of ``f"{v:.8e}"``.  Records are rendered
         in blocks of ``_CSV_BLOCK``, and a chunk ends at its block's end or at
         the first record end at or past ``_CSV_CHUNK`` bytes.  A column whose
-        doubles are bit-identical across a block has its text written once
-        into that block's row template, and only the other columns are
-        formatted per record.  This is exact: the compare is bitwise, so
-        ``-0.0``, NaN payloads and ``inf`` are never merged with other values;
-        the baked text is the same ``%`` conversion of the same double; and
-        ``"%.8e"`` text holds no ``%`` to act as a conversion spec.
+        doubles are bit-identical across a block has its text baked into the
+        block's row template.  A varying block that two or more columns hold is
+        formatted once, with one ``%``, and split into cells that each of them
+        takes as ``%b``; the other columns are formatted per record.  This is
+        exact: the compares are on bytes, so ``-0.0``, NaN payloads and ``inf``
+        never merge with other values; baked and shared text is the same ``%``
+        conversion of the same double; and ``"%.8e"`` text holds no ``%`` or ``,``.
         """
         yield (",".join(self.columns) + "\n").encode()
-        columns = [c if isinstance(c, array) else array("d", c) for c in self.columns.values()]
+        # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
+        columns = [memoryview(c if getattr(c, "typecode", "") == "d" else array("d", c)) for c in self.columns.values()]
         records = len(columns[0]) if columns else 0
-        templates: dict[tuple, bytes] = {}  # keyed by each column's first bytes in the block, None if it varies
+        templates: dict[tuple, bytes] = {}  # keyed by each column's first bytes if it holds, else by its lead
         for a in range(0, records, _CSV_BLOCK):
             b = min(a + _CSV_BLOCK, records)
-            firsts = [c[a:a + 1].tobytes() for c in columns]
-            key = tuple(f if c[a:b].tobytes() == f * (b - a) else None for f, c in zip(firsts, columns))
+            # A varying column's lead is the first column whose block has the same bytes.
+            leads, blocks = {}, (c[a:b].tobytes() for c in columns)
+            key = tuple(k[:8] if k == k[:8] * (b - a) else leads.setdefault(k, i) for i, k in enumerate(blocks))
+            del leads
+            varies = [(i, k) for i, k in enumerate(key) if type(k) is int]
+            shared = {k for i, k in varies if i != k}  # the leads of blocks that two or more columns hold
             template = templates.get(key)
             if template is None:
                 template = templates[key] = b",".join(
-                    b"%.8e" if k is None else b"%.8e" % c[a] for k, c in zip(key, columns)) + b"\n"
-            # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
-            varying = [memoryview(c)[a:b] for k, c in zip(key, columns) if k is None]
+                    b"%.8e" % c[a] if type(k) is bytes else b"%b" if k in shared else b"%.8e"
+                    for k, c in zip(key, columns)) + b"\n"
             # One ``%`` per record, appended to a chunk begun after the block's temporaries: a chunk carried
             # across blocks raised fine_dt's peak memory.  zip() of no columns gives no rows, so a block with
             # every column constant repeats its template.
             chunk = bytearray()
-            for row in map(template.__mod__, zip(*varying)) if varying else [template] * (b - a):
-                if len(chunk) >= _CSV_CHUNK:
-                    yield chunk
-                    chunk = bytearray()
-                chunk += row
+            # A shared block is formatted a quarter block at a time, with one ``%``, and split into its cells:
+            # a whole block's cells raised adder8's peak memory.
+            step = _CSV_BLOCK // 4 if shared else _CSV_BLOCK
+            for s in range(a, b, step):
+                e = min(s + step, b)
+                texts = {j: (b",".join([b"%.8e"] * (e - s)) % tuple(columns[j][s:e])).split(b",") for j in shared}
+                varying = [texts.get(k) or columns[i][s:e] for i, k in varies]
+                for row in map(template.__mod__, zip(*varying)) if varying else [template] * (e - s):
+                    if len(chunk) >= _CSV_CHUNK:
+                        yield chunk
+                        chunk = bytearray()
+                    chunk += row
             yield chunk
 
     def to_csv(self) -> str:
@@ -186,8 +198,8 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
 
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
         params = self.params._asdict() if self.params is not None else None
-        return {"version": __version__, "config": self.config._asdict(), "params": params,
-                "records": len(self.times), "columns": self.csv_columns(), "fixtures": fixtures}
+        return {"version": __version__, "config": self.config._asdict(), "params": params, "fixtures": fixtures,
+                "records": len(next(iter(self.columns.values()), ())), "columns": self.csv_columns()}
 
 
 def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> tuple[array, list[tuple[int, int]]]:
@@ -320,6 +332,7 @@ def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | Non
 
     with open(csv_path, "wb") as fh:
         fh.writelines(trace.csv_chunks())
+    meta = trace.metadata(fixture_texts)  # built first, so that a failure leaves no empty sidecar
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(trace.metadata(fixture_texts), fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,7 @@ import os
 from collections import namedtuple
 from pathlib import Path
 
-from .device import DeviceParams
+from .device import ConfigError, DeviceParams
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate
 from .gates import GateKind
 from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
@@ -35,15 +35,17 @@ def build_full_adder() -> CircuitGraph:
 
 
 def make_pattern_stimulus(a: int, b: int, cin: int, cfg: SimConfig | None = None) -> Stimulus:
-    """Stimulus for one input pattern: 100 ms all-low, then the pattern."""
+    """Stimulus for one input pattern: 100 ms all-low, then the pattern.  Times and levels are written exactly."""
     cfg = cfg or SimConfig()
+    if not cfg.horizon > ONSET_MS:
+        raise ConfigError(f"the adder protocol needs a horizon past its {ONSET_MS:g} ms onset, got {cfg.horizon:g} ms")
     lines = ["format memlogic/1"]
     for name, bit in (("A", a), ("B", b), ("CIN", cin)):
         level = cfg.v_logic1 if bit else cfg.v_logic0
         if bit:
-            lines.append(f"{name}: 0..{ONSET_MS:g}={cfg.v_logic0:g}, {ONSET_MS:g}..{cfg.horizon:g}={level:g}")
+            lines.append(f"{name}: 0..{ONSET_MS!r}={cfg.v_logic0!r}, {ONSET_MS!r}..{cfg.horizon!r}={level!r}")
         else:
-            lines.append(f"{name}: 0..{cfg.horizon:g}={cfg.v_logic0:g}")
+            lines.append(f"{name}: 0..{cfg.horizon!r}={cfg.v_logic0!r}")
     return parse_stimulus("\n".join(lines) + "\n")
 
 

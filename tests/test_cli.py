@@ -1,13 +1,18 @@
 """Command-line behaviour: exit codes, diagnostics, artifact files."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memlogic.cli import _config_from, build_parser, main
 from memlogic.device import DeviceParams
@@ -220,3 +225,52 @@ def test_cli_import_and_check_load_no_heavy_modules():
     assert code == "0"
     assert "memlogic.cli" in loaded
     assert HEAVY_IMPORTS.isdisjoint(loaded), sorted(HEAVY_IMPORTS.intersection(loaded))
+
+
+
+def _flag_values(finite):
+    """``finite`` values of a flag, or zero, a negative value or a non-finite one."""
+    return st.one_of(finite, st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+                     st.floats(max_value=0.0, allow_nan=False))
+
+
+# ``--dt`` is never drawn below 0.05 ms, as a tiny step asks for an unbounded allocation.  With the
+# horizon at most 500 ms, no run asks for more than 10^4 steps.
+CONFIG_FLAGS = {
+    "--dt": _flag_values(st.floats(0.05, 1e3)),
+    "--horizon": _flag_values(st.floats(1e-3, 500.0)),
+    "--b": _flag_values(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    "--vox": _flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+    "--vred": _flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--circuit", ADDER, "--stimulus", PATTERN_101], ["adder"], ["characterize", "--gate", "MOR"],
+    ["characterize", "--gate", "MNOT"],
+])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_any_config_flag_values_exit_with_a_code_not_a_traceback(command, data):
+    flags = data.draw(st.lists(st.sampled_from(sorted(CONFIG_FLAGS)), unique=True, max_size=5), label="flags")
+    # ``--flag=value``, as argparse would take a separate ``-inf`` for an option.
+    argv = command + [f"{flag}={data.draw(CONFIG_FLAGS[flag], label=flag)!r}" for flag in flags]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv if command == ["adder"] else [*argv, "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 1, 2)
+    if code == 2:  # a diagnostic, after at most a horizon-cut warning
+        assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("horizon", ["193.25331", "400.0000001"])
+def test_adder_runs_at_a_horizon_of_more_than_six_digits(capsys, horizon):
+    # The pattern stimulus once wrote the horizon to 6 digits, and so ended before it.
+    assert main(["adder", "--horizon", horizon]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["100", "50"])
+def test_adder_horizon_not_past_the_onset_is_a_usage_error(capsys, horizon):
+    assert main(["adder", "--horizon", horizon]) == 2
+    assert capsys.readouterr().err.startswith("error: the adder protocol needs a horizon past its 100 ms onset")

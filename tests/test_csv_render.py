@@ -1,10 +1,15 @@
 """The block CSV renderer against the plain one-template renderer it replaced.
 
 ``Trace.csv_chunks`` renders the CSV as UTF-8 bytes, in chunks of whole
-records, and bakes the text of each column that is bit-constant over a
-block of records into that block's row template.  ``plain_csv_lines`` formats every
-cell of every record as text with one template; it is the reference the
-property holds the block renderer to, byte for byte and line for line.
+records.  It bakes the text of each column that is bit-constant over a
+block of records into that block's row template, and formats a varying
+block that two or more columns hold once, sharing its text among them.
+``plain_csv_lines`` formats every cell of every record as text with one
+template; it is the reference the properties hold the block renderer to,
+byte for byte and line for line.  They draw held and varying blocks, and
+columns that hold one series several times: as one array, as equal
+copies, as copies changed in one record, and as copies whose bits differ
+where their values compare equal (``0.0``/``-0.0``) or are NaN.
 """
 
 import math
@@ -86,6 +91,65 @@ def test_block_renderer_matches_plain_renderer(rows, data):
     assert_renders_as_plain(Trace(SimConfig(), columns))
 
 
+def _flip_bits(v: float) -> float:
+    """``v`` with other bits but the same compare: a zero of the other sign, or a NaN of the other sign and
+    payload; any other value unchanged."""
+    if v == 0.0:
+        return -v
+    if math.isnan(v):
+        return _double(struct.unpack("<Q", struct.pack("<d", v))[0] ^ 0x8000000000000001)
+    return v
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_renderer_matches_plain_renderer_on_shared_columns(rows, data):
+    """Columns that hold one series several times: the same array, equal copies as a list or an array, copies
+    changed in one record, and copies whose bits differ where their values compare equal or are NaN."""
+    sources = [array("d", data.draw(runs(rows), label=f"source {i}")) for i in range(data.draw(st.integers(1, 3)))]
+    for blk in data.draw(st.sets(st.integers(0, rows // BLOCK)), label="held blocks"):
+        a, b = blk * BLOCK, min(blk * BLOCK + BLOCK, rows)
+        for source in sources:
+            source[a:b] = source[a:a + 1] * (b - a)
+    columns = {}
+    for n in range(data.draw(st.integers(2, 8))):
+        source = data.draw(st.sampled_from(sources))
+        copy = data.draw(st.sampled_from(["same array", "list", "array", "one record changed", "other bits"]))
+        if copy == "same array":
+            columns[f"c{n}"] = source
+        elif copy == "list":
+            columns[f"c{n}"] = list(source)
+        elif copy == "array":
+            columns[f"c{n}"] = array("d", source)
+        elif copy == "one record changed":
+            series = array("d", source)
+            k = data.draw(st.one_of(st.integers(0, rows - 1), st.integers(min(BLOCK, rows - 1), rows - 1)))
+            series[k] = data.draw(st.one_of(st.sampled_from(SPECIALS), st.floats()).filter(
+                lambda v: struct.pack("<d", v) != struct.pack("<d", series[k])))
+            columns[f"c{n}"] = series
+        else:
+            columns[f"c{n}"] = array("d", map(_flip_bits, source))
+    assert_renders_as_plain(Trace(SimConfig(), columns))
+
+
+@pytest.mark.parametrize("changed_first", [True, False])
+def test_copies_equal_over_one_block_share_no_text_in_the_next(changed_first):
+    """Two series equal over the first block and apart in the second: the first block's shared text stays there."""
+    source = array("d", [k / 3 for k in range(2 * BLOCK + 1)])
+    changed = array("d", source)
+    changed[BLOCK + 1] = -0.0
+    columns = {"changed": changed, "source": source} if changed_first else {"source": source, "changed": changed}
+    assert_renders_as_plain(Trace(SimConfig(), {**columns, "copy": list(source)}))
+
+
+def test_integer_array_with_the_bytes_of_a_double_column_shares_no_text():
+    doubles = array("d", [k / 3 for k in range(BLOCK + 5)])
+    integers = array("q", doubles.tobytes())
+    assert integers.tobytes() == doubles.tobytes()
+    assert_renders_as_plain(Trace(SimConfig(), {"d": doubles, "q": integers, "f": array("f", doubles)}))
+
+
 @pytest.mark.parametrize("columns", [{}, {"t_ms": array("d")}, {"t_ms": [], "NET": []}])
 def test_table_without_records_renders_only_its_header(columns):
     chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
@@ -98,6 +162,16 @@ def test_wide_blocks_are_cut_into_chunks_of_whole_records():
     columns = {"t_ms": array("d", times), **{f"c{i}": [v / i for v in times] for i in range(1, 40)}}
     chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
     # The header, three chunks for each whole block, one for the last 10 records.
+    assert [len(c) >= _CSV_CHUNK for c in chunks] == [False, True, True, False, True, True, False, False]
+
+
+def test_wide_blocks_of_shared_text_are_cut_into_chunks_of_whole_records():
+    """As above, but 39 of the 40 columns hold one of three series, as the same array or as an equal list."""
+    times = [1.0] * BLOCK + [float(k) for k in range(BLOCK + 10)]
+    series = [array("d", [v / i for v in times]) for i in (1, 3, 7)]
+    columns = {"t_ms": array("d", times), **{f"c{i}": series[i % 3] if i % 2 else list(series[i % 3])
+                                             for i in range(1, 40)}}
+    chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
     assert [len(c) >= _CSV_CHUNK for c in chunks] == [False, True, True, False, True, True, False, False]
 
 

@@ -308,6 +308,20 @@ class TestTraceExport:
         write_trace(synthetic_trace([0.1, 0.2]), str(tmp_path / "trace.csv"))
         assert json.loads((tmp_path / "trace.csv.meta.json").read_text())["params"] is None
 
+    @pytest.mark.parametrize("columns, records", [({"NET": [1.0, 2.0]}, 2), ({}, 0)])
+    def test_table_without_t_ms_writes_its_csv_and_sidecar(self, tmp_path, columns, records):
+        trace = Trace(SimConfig(), columns)
+        write_trace(trace, str(tmp_path / "trace.csv"))
+        assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv().encode()
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["records"] == records
+        assert meta["columns"] == list(columns)
+
+    def test_failed_sidecar_leaves_no_empty_file(self, tmp_path):
+        with pytest.raises(AttributeError):
+            write_trace(synthetic_trace([0.1, 0.2]), str(tmp_path / "trace.csv"), {"circuit": None})
+        assert not (tmp_path / "trace.csv.meta.json").exists()
+
 
 class TestPackedTrace:
     """``simulate`` stores every series as packed doubles, with the same values and CSV bytes."""
