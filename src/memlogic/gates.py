@@ -8,9 +8,10 @@ by a small constant source, so the output rail collapses as the device
 conducts.
 
 :meth:`GateInstance.run` is the one definition of a gate's drive, state
-loop and readout: it advances the gate through a whole run of input
-samples, and both the circuit engine and :meth:`GateInstance.step`, its
-one-step case, call it.  MOR and MAND read out an ohmic current, which
+loop and readout: it advances a device from a given state through a whole
+run of input samples and returns the final state with the series, and
+both the circuit engine and :meth:`GateInstance.step`, its one-step case,
+call it.  MOR and MAND read out an ohmic current, which
 ``run`` converts to a node voltage through ``b``; MNOT reports a voltage
 directly, taken from the divider tap through an ideal buffer.
 """
@@ -54,7 +55,7 @@ class GateInstance:
 
     An MNOT's divider is the module's fixed ``R1``/``R2``/``V_CON``/``V_RAIL``,
     and making an MNOT checks that ``params`` suit it.  ``state`` is the one field
-    that changes: every run writes the device's final state back.
+    that changes: :meth:`step` writes the device's state back; :meth:`run` leaves it.
     """
 
     # ``params`` and ``state`` are immutable, so one default instance serves every gate.
@@ -81,16 +82,18 @@ class GateInstance:
             raise ValueError(f"{self.kind.value} expects {self.kind.arity} input(s), got {len(inputs)}")
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return self.run([*zip(inputs)], dt, 1.0)[0][0]
+        volts, *_, self.state = self.run(self.state, [*zip(inputs)], dt, 1.0)
+        return volts[0]
 
-    def run(self, sources: list[array], dt: float, b: float, runs=()):
-        """Advance the gate through every step; return its voltage, current, x1 and x2 series, packed, and held runs.
+    def run(self, state: MemristorState, sources: list[array], dt: float, b: float, runs=()):
+        """Advance a device from ``state`` through every step; return the gate's voltage, current, x1 and x2
+        series, packed, its held runs and the device's final state.
 
         ``sources`` are the drivers' voltage series, each constant over every ``(lo, hi)`` step range in
         ``runs``; ``b`` converts the MOR/MAND output current to a node voltage.  The ranges must be non-empty,
         ascending, disjoint and within the series, or ``ValueError`` names the first that is not.  A held run,
         one whose drive lies strictly inside the hold window, repeats its first step in all four series, bit for
-        bit.  The final state goes to ``self.state``.  Loops run on lists, whose ``append`` is fastest; each
+        bit.  ``self.state`` is neither read nor written.  Loops run on lists, whose ``append`` is fastest; each
         series is packed once.
         """
         p = self.params
@@ -120,7 +123,7 @@ class GateInstance:
         if held:  # step each held run's first step only; ``_fill`` puts its other steps back
             cuts = [0, *(cut for lo, hi in held for cut in (lo + 1, hi)), steps]
             drive = list(chain.from_iterable(drive[a:e] for a, e in zip(cuts[::2], cuts[1::2])))
-        x1, x2 = self.state.x1, self.state.x2
+        x1, x2 = state
         x1s, x2s = [], []
         for v in drive:
             if v >= v_ox:
@@ -131,7 +134,7 @@ class GateInstance:
                 x2 = 1.0 - (1.0 - x2) * e2d
             x1s.append(x1)
             x2s.append(x2)
-        self.state = MemristorState(x1, x2)
+        state = MemristorState(x1, x2)
 
         # ``device.model_current`` at each step.
         a1, a2, c, v_ref = p.a1, p.a2, p.c, p.v_ref
@@ -149,8 +152,10 @@ class GateInstance:
         else:
             # Ohmic readout at the drive, then the B conversion to a node voltage.
             volts = [i / v_ref * v * b for i, v in zip(currents, drive)]
-        series = array("d", volts), array("d", currents), x1s, x2s, held
-        return (*(_fill(s, held) for s in series[:4]), held) if held else series
+        series = array("d", volts), array("d", currents), x1s, x2s
+        if held:
+            series = [_fill(s, held) for s in series]
+        return (*series, held, state)
 
 
 def _fill(kept: array, held) -> array:

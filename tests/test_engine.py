@@ -15,6 +15,7 @@ from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
     Trace,
+    _clip,
     _sample,
     classify,
     final_states,
@@ -238,20 +239,29 @@ def test_sample_by_segment_matches_value_at_per_time(data):
     segs = data.draw(ordered_segments(dt, steps))
     stim = Stimulus((("B", (Segment(0.0, steps * dt, 9.0),)), ("A", segs)), steps * dt)
     starts = [k * dt for k in range(steps)]
-    got = sampled(lambda: _sample(stim, "A", starts)[0])
+    got = sampled(lambda: _clip(_sample(stim, "A", dt, steps), 0, steps)[0])
     assert got == sampled(lambda: array("d", [stim.value_at("A", t) for t in starts]))
     if not isinstance(got, str):
         # The runs tile every step, in order, and each holds one double.
-        column, runs = _sample(stim, "A", starts)
-        assert [k for run in runs for k in range(*run)] == list(range(steps))
+        runs = _sample(stim, "A", dt, steps)
+        column, clipped = _clip(runs, 0, steps)
+        assert clipped == [(lo, hi) for lo, hi, _ in runs]
+        assert [k for run in clipped for k in range(*run)] == list(range(steps))
         assert all(len(set(column[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
-                   for lo, hi in runs)
+                   for lo, hi in clipped)
+        # A window's clip is that window of the column, with the runs there counted from its first step.
+        a = data.draw(st.integers(0, steps - 1))
+        e = data.draw(st.integers(a + 1, steps))
+        part, local = _clip(runs, a, e)
+        assert part.tobytes() == column[a:e].tobytes()
+        assert [k for run in local for k in range(*run)] == list(range(e - a))
+        assert all(len(set(part[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
+                   for lo, hi in local)
 
 
 def test_segment_with_a_nan_start_covers_no_time():
     stim = Stimulus((("A", (Segment(math.nan, 20.0, 0.6),)),), 20.0)
-    starts = [k * 1.0 for k in range(20)]
-    assert sampled(lambda: _sample(stim, "A", starts)[0]) == "terminal A has no segment covering t=0.0"
+    assert sampled(lambda: _sample(stim, "A", 1.0, 20)) == "terminal A has no segment covering t=0.0"
     with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=0\.0$"):
         stim.value_at("A", 0.0)
 

@@ -263,7 +263,7 @@ def test_drive_on_a_threshold_or_nan_is_stepped_not_held(params):
     gate = GateInstance(GateKind.MOR, params, MemristorState(0.5, 0.25))
     source = [v for v in edges for _ in range(5)]
     runs = [(k, k + 5) for k in range(0, 20, 5)]
-    assert gate.run([source, source], 1.0, 1.5e6, runs)[4] == [(15, 20)]
+    assert gate.run(gate.state, [source, source], 1.0, 1.5e6, runs)[4] == [(15, 20)]
     run_both("input A\ngate 1 MOR A A\ngate 2 MAND A A\n",
              {"A": [(5.0 * i, 5.0 * i + 5.0, v) for i, v in enumerate(edges)]}, 20.0, params,
              {1: MemristorState(0.5, 0.25), 2: MemristorState(0.5, 0.25)})
@@ -282,7 +282,7 @@ def test_malformed_runs_are_rejected_naming_the_first_bad_range(runs, bad):
     source = array("d", [0.1]) * 20
     message = rf"^run \({bad[0]}, {bad[1]}\) is empty, unsorted, overlapping or outside the 20 steps$"
     with pytest.raises(ValueError, match=message):
-        gate.run([source, source], 1.0, 1.5e6, runs)
+        gate.run(state, [source, source], 1.0, 1.5e6, runs)
     assert gate.state is state
 
 
