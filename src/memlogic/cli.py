@@ -20,8 +20,8 @@ from .engine import SimConfig, simulate_windows, write_trace
 # ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
 from .engine import simulate  # noqa: F401
 from .gates import GateKind
-from .harness import characterize_gate, default_characterization_schedule, run_pattern
-from .netlist import NetlistError, check_drives, parse_circuit, parse_stimulus
+from .harness import default_characterization_schedule, gate_circuit, run_pattern
+from .netlist import CircuitGraph, NetlistError, Stimulus, check_drives, parse_circuit, parse_stimulus
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,17 +53,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _write_run(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: DeviceParams, out: str,
+               fixture_texts: dict[str, str]) -> int:
+    """Make every check of the run, then write its trace to ``out`` one window at a time, and its sidecar."""
+    write_trace(simulate_windows(graph, stimulus, cfg, params=params), out, fixture_texts)
+    print(f"wrote {cfg.steps} records to {out}")
+    return 0
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, params = _config_from(args)
-    circuit_text = _read(args.circuit)
-    stimulus_text = _read(args.stimulus)
-    graph = parse_circuit(circuit_text)
-    stimulus = parse_stimulus(stimulus_text)
-    # Every check is made before ``write_trace`` opens a file; the trace is then written one window at a time.
-    write_trace(simulate_windows(graph, stimulus, cfg, params=params), args.out,
-                {"circuit": circuit_text, "stimulus": stimulus_text})
-    print(f"wrote {cfg.steps} records to {args.out}")
-    return 0
+    texts = {"circuit": _read(args.circuit), "stimulus": _read(args.stimulus)}
+    graph, stimulus = parse_circuit(texts["circuit"]), parse_stimulus(texts["stimulus"])
+    return _write_run(graph, stimulus, cfg, params, args.out, texts)
 
 
 def cmd_adder(args: argparse.Namespace) -> int:
@@ -95,10 +97,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         schedule = parse_stimulus(fixture_texts["schedule"])
     else:
         schedule = default_characterization_schedule(kind, cfg)
-    trace = characterize_gate(kind, schedule, cfg, params=params)
-    write_trace(trace, args.out, fixture_texts)
-    print(f"wrote {len(trace.times)} records to {args.out}")
-    return 0
+    return _write_run(gate_circuit(kind), schedule, cfg, params, args.out, fixture_texts)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -16,11 +16,11 @@ one per stimulus segment.  The engine goes through the run in consecutive
 windows of records: each window fills its input columns from those runs,
 and each gate goes on from the state the window before left it in.
 :func:`simulate` is the one-window case; :func:`simulate_windows` yields
-windows of ``_WINDOW`` records, so that ``memlogic run`` holds one window
-of its trace at a time, whatever the horizon.  The netlist is acyclic, so
-at step k a gate depends only on its drivers at step k and on its own
-state; the engine therefore runs one gate at a time through every step of
-a window, in topological order, with
+windows of ``_WINDOW`` records, so that ``memlogic run`` and ``memlogic
+characterize`` hold one window of their trace at a time, whatever the
+horizon.  The netlist is acyclic, so at step k a gate depends only on its
+drivers at step k and on its own state; the engine therefore runs one gate
+at a time through every step of a window, in topological order, with
 :meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
 columns.  Each value comes from the same float operations, in the same
 order, as stepping the gate one step at a time would give, and a held run
@@ -100,10 +100,10 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
 
     ``columns`` maps each CSV column name to its series, in CSV order:
     ``t_ms``, the input terminals, the probes, ``g<ID>`` per gate, then
-    ``g<ID>_I``, ``g<ID>_x1`` and ``g<ID>_x2`` per gate.  Columns may share one
-    array: a probe's is its gate's, and a twin gate's are its first twin's.
-    ``simulate`` packs every series as an ``array("d")``, 8 bytes a value; a hand-built
-    table of lists reads the same.  Every column must hold the same number of records.
+    ``g<ID>_I``, ``g<ID>_x1`` and ``g<ID>_x2`` per gate.  Construction packs each
+    series into an ``array("d")``, 8 bytes a value, and keeps one that is already
+    packed, so a probe's column stays its gate's and a twin's its first twin's.
+    A series that is not all numbers, or not as long as the first, is a ``ValueError``.
     ``params`` is the ``DeviceParams`` the run used, which ``simulate`` sets; a
     hand-built trace has none, and its sidecar records ``null``.  :meth:`csv_chunks`
     is the one CSV renderer: UTF-8 bytes, in chunks of whole records.
@@ -113,14 +113,17 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, config: SimConfig, columns: dict[str, array], params: DeviceParams | None = None):
-        if columns:
-            first, *rest = columns
-            records = len(columns[first])
-            for name in rest:
-                if len(columns[name]) != records:
-                    raise ValueError(f"column {name!r} has {len(columns[name])} records "
-                                     f"but column {first!r} has {records}")
-        return super().__new__(cls, config, columns, params)
+        packed = {}
+        for name, series in columns.items():
+            try:
+                packed[name] = series if isinstance(series, array) and series.typecode == "d" else array("d", series)
+            except TypeError as exc:
+                raise ValueError(f"column {name!r} is not a series of numbers: {exc}") from None
+            first = next(iter(packed))
+            if len(packed[name]) != len(packed[first]):
+                raise ValueError(f"column {name!r} has {len(packed[name])} records "
+                                 f"but column {first!r} has {len(packed[first])}")
+        return super().__new__(cls, config, packed, params)
 
     @property
     def records(self) -> int:
@@ -139,8 +142,10 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
             raise KeyError(f"unknown net {net!r}") from None
 
     def index_at(self, t_ms: float) -> int:
-        idx = int(round(t_ms / self.config.dt)) - 1
-        if not 0 <= idx < len(self.times):
+        """The record at ``t_ms``, counted in steps from the first stamp, so that a window answers by its own."""
+        times, dt = self.times, self.config.dt
+        idx = int(round(t_ms / dt)) - int(round(times[0] / dt)) if times else -1
+        if not 0 <= idx < len(times):
             raise ValueError(f"t={t_ms} ms is outside the recorded horizon")
         return idx
 
@@ -167,8 +172,8 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
         """
         yield (",".join(self.columns) + "\n").encode()
         # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
-        columns = [memoryview(c if getattr(c, "typecode", "") == "d" else array("d", c)) for c in self.columns.values()]
-        records = len(columns[0]) if columns else 0
+        columns = [memoryview(c) for c in self.columns.values()]
+        records = self.records
         templates: dict[tuple, bytes] = {}  # keyed by each column's first bytes if it holds, else by its lead
         for a in range(0, records, _CSV_BLOCK):
             b = min(a + _CSV_BLOCK, records)

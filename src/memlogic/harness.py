@@ -90,35 +90,30 @@ def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
     return trace, verdicts
 
 
+def gate_circuit(kind: GateKind) -> CircuitGraph:
+    """The one-gate netlist: inputs IN1 (and IN2 for two-input kinds), gate 1 of ``kind``, probed as OUT."""
+    pins = ["IN1", "IN2"][:kind.arity]
+    inputs = "".join(f"input {pin}\n" for pin in pins)
+    return parse_circuit(f"{inputs}gate 1 {kind.value} {' '.join(pins)}\noutput OUT 1\n")
+
+
 def characterize_gate(kind: GateKind, schedule: Stimulus, cfg: SimConfig | None = None,
                       params: DeviceParams | None = None) -> Trace:
-    """Simulate a single gate of the given kind under an input schedule.
-
-    The circuit has inputs IN1 (and IN2 for two-input kinds) and probes
-    the gate output as OUT.
-    """
-    if kind is GateKind.MNOT:
-        text = "format memlogic/1\ninput IN1\ngate 1 MNOT IN1\noutput OUT 1\n"
-    else:
-        text = f"format memlogic/1\ninput IN1\ninput IN2\ngate 1 {kind.value} IN1 IN2\noutput OUT 1\n"
-    graph = parse_circuit(text)
-    return simulate(graph, schedule, cfg, params=params)
+    """Simulate :func:`gate_circuit` of ``kind`` under an input schedule; ``memlogic characterize`` writes the
+    same trace one window at a time."""
+    return simulate(gate_circuit(kind), schedule, cfg, params=params)
 
 
 def default_characterization_schedule(kind: GateKind, cfg: SimConfig | None = None) -> Stimulus:
-    """Canned schedules illustrating each gate's memory behaviour."""
+    """Canned schedules illustrating each gate's memory behaviour, each level last held to the horizon or 400 ms."""
     cfg = cfg or SimConfig()
-    lo, hi = cfg.v_logic0, cfg.v_logic1
+    lo, hi, end = cfg.v_logic0, cfg.v_logic1, max(400.0, cfg.horizon)
     if kind is GateKind.MOR:
-        lines = [
-            f"IN1: 0..100={lo}, 100..150={hi}, 150..200={lo}, 200..300={hi}, 300..400={lo}",
-            f"IN2: 0..400={lo}",
-        ]
+        lines = [f"IN1: 0..100={lo!r}, 100..150={hi!r}, 150..200={lo!r}, 200..300={hi!r}, 300..{end!r}={lo!r}",
+                 f"IN2: 0..{end!r}={lo!r}"]
     elif kind is GateKind.MAND:
-        lines = [
-            f"IN1: 0..100={lo}, 100..200={hi}, 200..300={lo}, 300..400={hi}",
-            f"IN2: 0..200={lo}, 200..300={hi}, 300..400={hi}",
-        ]
+        lines = [f"IN1: 0..100={lo!r}, 100..200={hi!r}, 200..300={lo!r}, 300..{end!r}={hi!r}",
+                 f"IN2: 0..200={lo!r}, 200..300={hi!r}, 300..{end!r}={hi!r}"]
     else:
-        lines = [f"IN1: 0..100={lo}, 100..250={hi}, 250..400={lo}"]
+        lines = [f"IN1: 0..100={lo!r}, 100..250={hi!r}, 250..{end!r}={lo!r}"]
     return parse_stimulus("format memlogic/1\n" + "\n".join(lines) + "\n")

@@ -389,6 +389,6 @@ def serialize_stimulus(stim: Stimulus) -> str:
     """Canonical text for a stimulus; parsing it back yields an equal stimulus."""
     lines = [FORMAT_LINE]
     for name, segs in stim.segments:
-        body = ", ".join(f"{seg.start:g}..{seg.end:g}={seg.volts:g}" for seg in segs)
+        body = ", ".join(f"{seg.start!r}..{seg.end!r}={seg.volts!r}" for seg in segs)
         lines.append(f"{name}: {body}")
     return "\n".join(lines) + "\n"

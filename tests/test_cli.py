@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from memlogic.cli import _config_from, build_parser, main
 from memlogic.device import DeviceParams
-from memlogic.engine import SimConfig
-from memlogic.harness import fixture_dir
+from memlogic.engine import SimConfig, write_trace
+from memlogic.gates import GateKind
+from memlogic.harness import characterize_gate, default_characterization_schedule, fixture_dir
+from memlogic.netlist import parse_stimulus
 
 
 ADDER = str(fixture_dir() / "adder.mlc")
@@ -182,6 +184,43 @@ def test_adder_and_characterize_report_a_horizon_cut(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
     assert "399.7 ms" in err
+
+
+# Breakpoints off the 1 ms and 0.05 ms grids; the MNOT schedule drives IN1 only.
+SCHEDULES = {
+    "MOR": "format memlogic/1\nIN1: 0..70.31=0.1, 70.31..222.2=0.6, 222.2..400=0.1\nIN2: 0..130=0.6, 130..400=0.1\n",
+    "MAND": "format memlogic/1\nIN1: 0..90=0.1, 90..380.1=0.6, 380.1..400=0.1\nIN2: 0..150.02=0.1, 150.02..400=0.6\n",
+    "MNOT": "format memlogic/1\nIN1: 0..33.333=0.1, 33.333..333.33=0.6, 333.33..400=0.1\n",
+}
+
+
+@pytest.mark.parametrize("gate", ["MOR", "MAND", "MNOT"])
+@pytest.mark.parametrize("dt", ["1", "0.05"])
+@pytest.mark.parametrize("scheduled", [False, True], ids=["canned", "schedule"])
+def test_characterize_writes_the_bytes_of_the_whole_trace(tmp_path, capsys, gate, dt, scheduled):
+    """``characterize`` writes one window at a time: at dt = 0.05 ms its 8000 records are four windows.  Its CSV
+    and sidecar equal those ``write_trace`` leaves from the whole trace of ``characterize_gate``."""
+    cfg, kind = SimConfig(dt=float(dt)), GateKind(gate)
+    flags, fixtures, schedule = [], {}, default_characterization_schedule(kind, cfg)
+    if scheduled:
+        (tmp_path / "schedule.mls").write_text(SCHEDULES[gate])
+        flags, fixtures = ["--schedule", str(tmp_path / "schedule.mls")], {"schedule": SCHEDULES[gate]}
+        schedule = parse_stimulus(SCHEDULES[gate])
+    out = tmp_path / "cli.csv"
+    assert main(["characterize", "--gate", gate, "--dt", dt, "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().out == f"wrote {cfg.steps} records to {out}\n"
+    write_trace(characterize_gate(kind, schedule, cfg), str(tmp_path / "whole.csv"), fixtures)
+    for suffix in ("", ".meta.json"):
+        assert (tmp_path / f"cli.csv{suffix}").read_bytes() == (tmp_path / f"whole.csv{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("gate", ["MOR", "MAND", "MNOT"])
+def test_canned_characterize_schedule_lasts_to_a_longer_horizon(tmp_path, capsys, gate):
+    out = tmp_path / "trace.csv"
+    assert main(["characterize", "--gate", gate, "--horizon", "600", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 600 records to {out}\n"
+    assert json.loads((tmp_path / "trace.csv.meta.json").read_text())["records"] == 600
+    assert out.read_text().splitlines()[-1].startswith("6.00000000e+02,")
 
 
 def test_missing_file_is_a_usage_error(capsys):

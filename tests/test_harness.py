@@ -12,10 +12,11 @@ from memlogic.harness import (
     characterize_gate,
     default_characterization_schedule,
     fixture_text,
+    gate_circuit,
     make_pattern_stimulus,
     run_pattern,
 )
-from memlogic.netlist import parse_stimulus, topological_order
+from memlogic.netlist import parse_circuit, parse_stimulus, topological_order
 
 CFG = SimConfig()
 
@@ -184,3 +185,19 @@ class TestCharacterization:
         assert out[0] >= 0.98 * 0.8
         assert out[k_off] < out[k_onset]
         assert out[-1] == out[k_off + 1]                            # nonvolatile after pulse
+
+    @pytest.mark.parametrize("kind, text", [
+        (GateKind.MOR, "IN1: 0..100=0.1, 100..150=0.6, 150..200=0.1, 200..300=0.6, 300..400=0.1\nIN2: 0..400=0.1\n"),
+        (GateKind.MAND, "IN1: 0..100=0.1, 100..200=0.6, 200..300=0.1, 300..400=0.6\n"
+                        "IN2: 0..200=0.1, 200..300=0.6, 300..400=0.6\n"),
+        (GateKind.MNOT, "IN1: 0..100=0.1, 100..250=0.6, 250..400=0.1\n"),
+    ])
+    def test_canned_schedule_holds_its_last_levels_to_the_horizon(self, kind, text):
+        assert default_characterization_schedule(kind) == parse_stimulus(text)
+        longer = default_characterization_schedule(kind, SimConfig(horizon=600.3))
+        assert longer == parse_stimulus(text.replace("..400=", "..600.3="))
+        assert default_characterization_schedule(kind, SimConfig(horizon=250.0)) == parse_stimulus(text)
+
+    def test_gate_circuit_probes_its_one_gate(self):
+        assert gate_circuit(GateKind.MAND) == parse_circuit("input IN1\ninput IN2\ngate 1 MAND IN1 IN2\noutput OUT 1\n")
+        assert gate_circuit(GateKind.MNOT) == parse_circuit("input IN1\ngate 1 MNOT IN1\noutput OUT 1\n")

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from memlogic.gates import GateKind
 from memlogic.harness import fixture_text
@@ -15,6 +16,8 @@ from memlogic.netlist import (
     NetlistError,
     NetlistSyntaxError,
     OverlapError,
+    Segment,
+    Stimulus,
     parse_circuit,
     parse_stimulus,
     serialize_circuit,
@@ -195,6 +198,30 @@ class TestRoundTrip:
     def test_stimulus_round_trip(self):
         stim = parse_stimulus(fixture_text("pattern_101.mls"))
         assert parse_stimulus(serialize_stimulus(stim)) == stim
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stimuli(draw):
+    """Terminals whose finite segments tile [0, horizon], cut anywhere inside it."""
+    horizon = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True), min_size=1, max_size=3,
+                          unique=True))
+    terminals = []
+    for name in names:
+        cuts = {c for c in draw(st.lists(st.floats(0.0, horizon), max_size=5)) if 0.0 < c < horizon}
+        bounds = [0.0, *sorted(cuts), horizon]
+        terminals.append((name, tuple(Segment(a, b, draw(FINITE)) for a, b in zip(bounds, bounds[1:]))))
+    return Stimulus(tuple(terminals), horizon)
+
+
+@given(stimuli())
+@example(parse_stimulus("A: 0..100.1234567=0.3333333333, 100.1234567..400=0.6\n"))
+@settings(max_examples=100)
+def test_serialized_stimulus_parses_back_equal(stim):
+    assert parse_stimulus(serialize_stimulus(stim)) == stim
 
 
 FUZZ_TOKENS = [

@@ -1,8 +1,8 @@
 """The value types' boundary: each bad setting's exception and message, immutability, derived copies.
 
 ``SimConfig``, ``DeviceParams`` and ``MemristorState`` check their fields
-when they are made, and an MNOT gate checks that its params suit the fixed divider.  A ``Trace`` checks
-that its columns are all the same length.
+when they are made, and an MNOT gate checks that its params suit the fixed divider.  A ``Trace`` packs
+its columns into double arrays and checks that each is all numbers and that they are all the same length.
 """
 
 import math
@@ -129,3 +129,21 @@ def test_trace_replace_checks_the_columns():
 @pytest.mark.parametrize("columns", [{}, {"t_ms": []}, {"t_ms": array("d"), "NET": []}])
 def test_header_only_tables_are_still_valid(columns):
     assert Trace(SimConfig(), columns).to_csv() == ",".join(columns) + "\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {"t_ms": [1.0, 2.0], "A": ["x", None]},
+    {"t_ms": [1.0, 2.0], "A": [0.1, "0.2"]},
+    {"t_ms": [1.0, 2.0], "A": 0.1},
+])
+def test_trace_rejects_a_column_that_is_not_numbers_when_it_is_made(columns):
+    with pytest.raises(ValueError, match=r"^column 'A' is not a series of numbers: "):
+        Trace(SimConfig(), columns)
+
+
+def test_trace_packs_its_columns_and_keeps_packed_ones():
+    packed = array("d", [1.0, 2.0])
+    trace = Trace(SimConfig(), {"t_ms": packed, "A": [0, True], "B": packed, "C": array("q", [3, -4])})
+    assert trace.columns["t_ms"] is packed and trace.columns["B"] is packed
+    assert trace.columns["A"] == array("d", [0.0, 1.0]) and trace.columns["C"] == array("d", [3.0, -4.0])
+    assert all(type(c) is array and c.typecode == "d" for c in trace.columns.values())

@@ -7,8 +7,9 @@ and sidecar bytes to equal those written from the whole trace.  It draws
 dt from the oracle's grid, horizons that are not a whole number of
 windows, breakpoints off the step grid and near window edges, twin gates,
 trained start states, and ``-0.0`` and NaN levels.  The other tests hold
-the checks of a run to before any file is opened, and its peak memory to
-one window whatever the horizon.
+the checks of a run to before any file is opened, a window's time lookups
+to its own records, and a run's peak memory to one window whatever the
+horizon.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from memlogic import engine
 from memlogic.cli import main
 from memlogic.device import MemristorState
-from memlogic.engine import SimConfig, simulate, simulate_windows, write_trace
+from memlogic.engine import SimConfig, Trace, read_binary, simulate, simulate_windows, write_trace
 from memlogic.harness import build_full_adder, fixture_dir, make_pattern_stimulus
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
 from test_engine_oracle import DT, FRACTION, PARAMS, VOLTS, netlists
@@ -100,6 +101,30 @@ def test_windows_are_whole_csv_blocks_and_count_the_run_steps():
     assert windows[1].times[0] == engine._WINDOW * 0.01 + 0.01
 
 
+def test_a_window_answers_time_lookups_by_its_own_records():
+    """Pattern 101 at dt = 0.01 ms: each window reads at its own stamps what the whole trace reads there."""
+    cfg = SimConfig(dt=0.01)
+    graph, stim = build_full_adder(), make_pattern_stimulus(1, 0, 1, cfg)
+    whole, windows = simulate(graph, stim, cfg), list(simulate_windows(graph, stim, cfg))
+    for window in windows:
+        for t in window.times:
+            for net in ("g1_x1", "SUM"):
+                assert window.voltage_at(net, t) == whole.voltage_at(net, t)
+                assert read_binary(window, net, t) == read_binary(whole, net, t)
+        for t in (window.times[0] - cfg.dt, window.times[-1] + cfg.dt):
+            with pytest.raises(ValueError, match="outside the recorded horizon"):
+                window.voltage_at("g1_x1", t)
+    # Window 1 holds 20.49 to 40.96 ms, and window 5 holds 102.41 to 122.88 ms but not 10 ms.
+    assert windows[1].voltage_at("g1_x1", 30.0) == whole.voltage_at("g1_x1", 30.0)
+    with pytest.raises(ValueError, match=r"^t=10\.0 ms is outside the recorded horizon$"):
+        windows[5].voltage_at("g1_x1", 10.0)
+
+
+def test_a_trace_without_records_holds_no_time():
+    with pytest.raises(ValueError, match=r"^t=1\.0 ms is outside the recorded horizon$"):
+        Trace(SimConfig(), {"t_ms": [], "NET": []}).index_at(1.0)
+
+
 def test_checks_of_a_windowed_run_come_before_any_window():
     """A coverage gap after the first window is found when ``simulate_windows`` returns, not when it is read."""
     graph = parse_circuit("input A\ngate 1 MNOT A\n")
@@ -135,8 +160,8 @@ def test_a_run_that_fails_a_check_writes_no_file_and_leaves_out_untouched(tmp_pa
 
 
 def streamed_peak(tmp_path, horizon: float) -> int:
-    """The ``tracemalloc`` peak of writing pattern 101 at dt = 0.01 ms through ``simulate_windows``."""
-    cfg = SimConfig(dt=0.01, horizon=horizon)
+    """The ``tracemalloc`` peak of writing pattern 101 at dt = 0.05 ms through ``simulate_windows``."""
+    cfg = SimConfig(dt=0.05, horizon=horizon)
     graph, stim = build_full_adder(), make_pattern_stimulus(1, 0, 1, cfg)
     tracemalloc.start()
     try:
@@ -147,6 +172,7 @@ def streamed_peak(tmp_path, horizon: float) -> int:
 
 
 def test_peak_memory_of_a_windowed_write_does_not_grow_with_the_horizon(tmp_path):
-    # A whole trace of 80k records takes about twice the memory of one of 40k.
+    # 8000 and 16,000 records, 4 and 8 windows.  A whole trace of 16,000 records takes about twice the memory
+    # of one of 8000.
     short, long = streamed_peak(tmp_path, 400.0), streamed_peak(tmp_path, 800.0)
     assert long <= 1.1 * short, (short, long)
