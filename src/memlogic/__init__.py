@@ -21,7 +21,6 @@ from .harness import (
     Verdict,
     adder_truth,
     build_full_adder,
-    characterize_gate,
     make_pattern_stimulus,
     run_pattern,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Verdict",
     "adder_truth",
     "build_full_adder",
-    "characterize_gate",
     "final_states",
     "make_pattern_stimulus",
     "model_current",

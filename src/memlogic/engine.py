@@ -394,10 +394,13 @@ def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = Non
     """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar.
 
     ``trace`` is a ``Trace`` or an iterator of consecutive ones, such as :func:`simulate_windows` returns,
-    written under one header and counted in one sidecar; each is dropped once written.
+    written under one header and counted in one sidecar; each is dropped once written.  An iterator of none is
+    a ``ValueError``, and no file is opened.
     """
     windows = iter([trace] if isinstance(trace, Trace) else trace)
-    window = next(windows)
+    window = next(windows, None)
+    if window is None:
+        raise ValueError("write_trace was given no trace to write")
     # What the sidecar reads of the traces, without their records.  ``json`` and the sidecar come after the CSV,
     # so that their imports reuse the memory the run has freed: the sidecar first raised adder8's peak RSS 1%.
     shell = Trace(window.config, dict.fromkeys(window.columns, ()), window.params)

@@ -97,13 +97,6 @@ def gate_circuit(kind: GateKind) -> CircuitGraph:
     return parse_circuit(f"{inputs}gate 1 {kind.value} {' '.join(pins)}\noutput OUT 1\n")
 
 
-def characterize_gate(kind: GateKind, schedule: Stimulus, cfg: SimConfig | None = None,
-                      params: DeviceParams | None = None) -> Trace:
-    """Simulate :func:`gate_circuit` of ``kind`` under an input schedule; ``memlogic characterize`` writes the
-    same trace one window at a time."""
-    return simulate(gate_circuit(kind), schedule, cfg, params=params)
-
-
 def default_characterization_schedule(kind: GateKind, cfg: SimConfig | None = None) -> Stimulus:
     """Canned schedules illustrating each gate's memory behaviour, each level last held to the horizon or 400 ms."""
     cfg = cfg or SimConfig()

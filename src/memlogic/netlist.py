@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from collections import namedtuple
 
 from .gates import GateKind
@@ -147,33 +148,26 @@ _RESERVED = ("name %r is taken by a trace column: input and probe names "
              "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each line with more than a comment, cut at ``#`` and stripped on the right.
+
+    A leading ``format`` line is left out, and any but ``format memlogic/1`` is a ``NetlistSyntaxError``.
+    """
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if stripped.strip():
-            out.append((lineno, stripped))
-    return out
-
-
-def _check_format_line(lines: list[tuple[int, str]]) -> list[tuple[int, str]]:
+            lines.append((lineno, stripped))
     if lines and lines[0][1].strip().startswith("format"):
-        lineno, content = lines[0]
+        lineno, content = lines.pop(0)
         if content.strip() != FORMAT_LINE:
             raise NetlistSyntaxError(f"unsupported format {content.strip()!r}", lineno, 1)
-        return lines[1:]
     return lines
 
 
 def _column_of(line: str, token_index: int) -> int:
-    # 1-based column of the token_index-th whitespace-separated token
-    pos = 0
-    for i, tok in enumerate(line.split()):
-        pos = line.index(tok, pos)
-        if i == token_index:
-            return pos + 1
-        pos += len(tok)
-    return len(line) + 1
+    # 1-based column of the token_index-th whitespace-separated token, which the caller knows exists
+    return [m.start() for m in re.finditer(r"\S+", line)][token_index] + 1
 
 
 def parse_circuit(text: str) -> CircuitGraph:
@@ -187,11 +181,9 @@ def parse_circuit(text: str) -> CircuitGraph:
     and ``g1_x2`` when gate 1 exists) are duplicates too.
     """
     inputs: list[str] = []
-    nodes: list[GateNode] = []
-    outputs: list[tuple[str, int]] = []
-    seen_ids: dict[int, int] = {}
+    gates: dict[int, tuple[GateNode, int]] = {}  # id -> (its node, its line)
+    outputs: list[tuple[int, str, int]] = []  # (line, probe name, target gate id)
     seen_names: dict[str, int] = {}
-    output_lines: list[tuple[int, str, int]] = []
 
     def declare(name: str, what: str, lineno: int, line: str) -> None:
         if not _NAME_RE.match(name):
@@ -202,7 +194,7 @@ def parse_circuit(text: str) -> CircuitGraph:
             raise DuplicateError(_RESERVED % name, lineno)
         seen_names[name] = lineno
 
-    for lineno, line in _check_format_line(_significant_lines(text)):
+    for lineno, line in _lines(text):
         tokens = line.split()
         keyword = tokens[0]
         if keyword == "input":
@@ -220,8 +212,8 @@ def parse_circuit(text: str) -> CircuitGraph:
                                          lineno, _column_of(line, 1)) from None
             if gate_id <= 0:
                 raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno, _column_of(line, 1))
-            if gate_id in seen_ids:
-                raise DuplicateError(f"gate id {gate_id} already declared on line {seen_ids[gate_id]}", lineno)
+            if gate_id in gates:
+                raise DuplicateError(f"gate id {gate_id} already declared on line {gates[gate_id][1]}", lineno)
             try:
                 kind = GateKind(tokens[2])
             except ValueError:
@@ -238,8 +230,7 @@ def parse_circuit(text: str) -> CircuitGraph:
                     sources.append(src)
                 else:
                     raise NetlistSyntaxError(f"invalid source {src!r}", lineno, _column_of(line, 3 + i))
-            seen_ids[gate_id] = lineno
-            nodes.append(GateNode(gate_id, kind, tuple(sources)))
+            gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), lineno)
         elif keyword == "output":
             if len(tokens) != 3:
                 raise NetlistSyntaxError("expected: output <NAME> <ID>", lineno, 1)
@@ -249,33 +240,31 @@ def parse_circuit(text: str) -> CircuitGraph:
             except ValueError:
                 raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}",
                                          lineno, _column_of(line, 2)) from None
-            output_lines.append((lineno, tokens[1], target))
+            outputs.append((lineno, tokens[1], target))
         elif keyword == "format":
             raise NetlistSyntaxError("format line must come first", lineno, 1)
         else:
             raise NetlistSyntaxError(f"unknown directive {keyword!r}", lineno, 1)
 
     # Gate columns are known only now: a gate may be declared after a name that repeats its column.
-    gate_columns = {f"g{i}{part}" for i in seen_ids for part in ("", "_I", "_x1", "_x2")}
+    gate_columns = {f"g{i}{part}" for i in gates for part in ("", "_I", "_x1", "_x2")}
     for name, lineno in seen_names.items():
         if name in gate_columns:
             raise DuplicateError(_RESERVED % name, lineno)
     input_set = set(inputs)
-    for node in nodes:
+    for node, lineno in gates.values():
         for src in node.sources:
             if isinstance(src, int):
-                if src not in seen_ids:
-                    raise DanglingNetError(f"gate {node.id} references undeclared gate {src}",
-                                           seen_ids[node.id])
+                if src not in gates:
+                    raise DanglingNetError(f"gate {node.id} references undeclared gate {src}", lineno)
             elif src not in input_set:
-                raise DanglingNetError(f"gate {node.id} references undeclared input {src!r}",
-                                       seen_ids[node.id])
-    for lineno, name, target in output_lines:
-        if target not in seen_ids:
+                raise DanglingNetError(f"gate {node.id} references undeclared input {src!r}", lineno)
+    for lineno, name, target in outputs:
+        if target not in gates:
             raise DanglingNetError(f"output {name!r} references undeclared gate {target}", lineno)
-        outputs.append((name, target))
 
-    graph = CircuitGraph(tuple(nodes), tuple(inputs), tuple(outputs))
+    graph = CircuitGraph(tuple(node for node, _ in gates.values()), tuple(inputs),
+                         tuple((name, target) for _, name, target in outputs))
     topological_order(graph)  # rejects cycles
     return graph
 
@@ -283,8 +272,9 @@ def parse_circuit(text: str) -> CircuitGraph:
 def topological_order(graph: CircuitGraph) -> list[int]:
     """Gate ids ordered so that every gate follows all of its drivers.
 
-    Ties are broken by declaration order, so the result is deterministic.
-    Raises :class:`CycleError` naming a member if the graph has a cycle.
+    Ties are broken by declaration order: the ready gates stay sorted as
+    ``(declaration index, id)`` pairs and the first is taken next.  Raises
+    :class:`CycleError` naming the earliest declared gate it cannot order.
     """
     decl_index = {node.id: i for i, node in enumerate(graph.nodes)}
     dependents: dict[int, list[int]] = {node.id: [] for node in graph.nodes}
@@ -295,19 +285,15 @@ def topological_order(graph: CircuitGraph) -> list[int]:
         for dep in gate_deps:
             dependents[dep].append(node.id)
 
-    ready = sorted((i for i, d in in_degree.items() if d == 0), key=decl_index.__getitem__)
+    ready = sorted((decl_index[i], i) for i, d in in_degree.items() if d == 0)
     order: list[int] = []
     while ready:
-        current = ready.pop(0)
+        current = ready.pop(0)[1]
         order.append(current)
-        changed = False
         for dep in dependents[current]:
             in_degree[dep] -= 1
             if in_degree[dep] == 0:
-                ready.append(dep)
-                changed = True
-        if changed:
-            ready.sort(key=decl_index.__getitem__)
+                insort(ready, (decl_index[dep], dep))
     if len(order) != len(graph.nodes):
         stuck = min((i for i, d in in_degree.items() if d > 0), key=decl_index.__getitem__)
         raise CycleError(f"circuit contains a feedback loop through gate {stuck}")
@@ -321,25 +307,28 @@ def parse_stimulus(text: str) -> Stimulus:
     """Parse and validate a stimulus description.
 
     Every terminal's intervals must tile [0, horizon] exactly, where the
-    horizon is the largest end time seen anywhere in the file.
+    horizon is the largest end time seen anywhere in the file.  A ``bad
+    interval`` column points at the interval, or just past the ``:`` or ``,``
+    that opens a blank one.
     """
-    per_terminal: list[tuple[str, list[Segment], int]] = []
-    seen: dict[str, int] = {}
-    for lineno, line in _check_format_line(_significant_lines(text)):
+    terminals: dict[str, tuple[list[Segment], int]] = {}  # name -> (its segments, its line)
+    for lineno, line in _lines(text):
         if ":" not in line:
             raise NetlistSyntaxError("expected: <NAME>: <start>..<end>=<volts>, ...", lineno, 1)
         name, _, rest = line.partition(":")
         name = name.strip()
         if not _NAME_RE.match(name):
             raise NetlistSyntaxError(f"invalid terminal name {name!r}", lineno, 1)
-        if name in seen:
-            raise DuplicateError(f"terminal {name!r} already declared on line {seen[name]}", lineno)
-        seen[name] = lineno
+        if name in terminals:
+            raise DuplicateError(f"terminal {name!r} already declared on line {terminals[name][1]}", lineno)
         segments = []
-        for piece in rest.split(","):
+        pieces = rest.split(",")
+        for k, piece in enumerate(pieces):
             m = _SEGMENT_RE.match(piece)
             if not m:
-                raise NetlistSyntaxError(f"bad interval {piece.strip()!r}", lineno, line.index(piece.strip()) + 1)
+                tail = ",".join(pieces[k:])  # the line from just past the piece's ":" or ","
+                column = len(line) - len(tail.lstrip() if piece.strip() else tail) + 1
+                raise NetlistSyntaxError(f"bad interval {piece.strip()!r}", lineno, column)
             try:
                 start, end, volts = (float(m.group(i)) for i in (1, 2, 3))
             except ValueError:
@@ -349,16 +338,14 @@ def parse_stimulus(text: str) -> Stimulus:
             if end <= start:
                 raise NetlistSyntaxError(f"empty interval {piece.strip()!r}", lineno)
             segments.append(Segment(start, end, volts))
-        if not segments:
-            raise NetlistSyntaxError(f"terminal {name!r} declares no intervals", lineno)
-        per_terminal.append((name, segments, lineno))
+        terminals[name] = (segments, lineno)
 
-    if not per_terminal:
+    if not terminals:
         raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
 
-    horizon = max(seg.end for _, segs, _ in per_terminal for seg in segs)
+    horizon = max(seg.end for segs, _ in terminals.values() for seg in segs)
     validated: list[tuple[str, tuple[Segment, ...]]] = []
-    for name, segs, lineno in per_terminal:
+    for name, (segs, lineno) in terminals.items():
         segs = sorted(segs, key=lambda s: s.start)
         cursor = 0.0
         for seg in segs:

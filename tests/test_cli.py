@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from memlogic.cli import _config_from, build_parser, main
 from memlogic.device import DeviceParams
-from memlogic.engine import SimConfig, write_trace
+from memlogic.engine import SimConfig, simulate, write_trace
 from memlogic.gates import GateKind
-from memlogic.harness import characterize_gate, default_characterization_schedule, fixture_dir
+from memlogic.harness import default_characterization_schedule, fixture_dir, gate_circuit
 from memlogic.netlist import parse_stimulus
 
 
@@ -164,6 +164,50 @@ def test_check_rejects_a_stimulus_that_leaves_an_input_undriven(tmp_path, capsys
     assert capsys.readouterr().err == check_err
 
 
+MALFORMED = Path(__file__).parent / "data" / "malformed"
+# The one stderr line ``memlogic check`` prints for each malformed netlist.
+GOLDEN_CIRCUIT_DIAGNOSTICS = {
+    "01_unknown_directive.mlc": "error: line 3, column 1: unknown directive 'wire'",
+    "02_unknown_kind.mlc": "error: line 3, column 8: unknown gate kind 'XOR'",
+    "03_mnot_arity.mlc": "error: line 3: MNOT takes 1 input(s), got 2",
+    "04_mor_arity.mlc": "error: line 2: MOR takes 2 input(s), got 1",
+    "05_duplicate_id.mlc": "error: line 4: gate id 1 already declared on line 3",
+    "06_dangling_name.mlc": "error: line 2: gate 1 references undeclared input 'Bogus'",
+    "07_dangling_id.mlc": "error: line 3: gate 1 references undeclared gate 7",
+    "08_cycle.mlc": "error: circuit contains a feedback loop through gate 1",
+    "09_dangling_output.mlc": "error: line 4: output 'S' references undeclared gate 4",
+    "10_bad_format.mlc": "error: line 1, column 1: unsupported format 'format memlogic/9'",
+}
+
+
+def test_every_malformed_netlist_has_a_golden_diagnostic():
+    assert sorted(p.name for p in MALFORMED.glob("*.mlc")) == sorted(GOLDEN_CIRCUIT_DIAGNOSTICS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CIRCUIT_DIAGNOSTICS))
+def test_check_prints_the_golden_diagnostic_of_a_malformed_netlist(capsys, name):
+    assert main(["check", "--circuit", str(MALFORMED / name)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", GOLDEN_CIRCUIT_DIAGNOSTICS[name] + "\n")
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    # A bad interval's column points at it, or just past the ":" or "," that opens a blank one.
+    ("A: 0..100=0.1, 100..200=0.6, 1\n", "line 1, column 30: bad interval '1'"),
+    ("A:\n", "line 1, column 3: bad interval ''"),
+    ("A: 0..100=0.1,\n", "line 1, column 15: bad interval ''"),
+    ("A: 0..100=0.1,   , 100..400=0.6\n", "line 1, column 15: bad interval ''"),
+    ("A: 0..100=0.1, 0..1\n", "line 1, column 16: bad interval '0..1'"),
+    ("A: 0..400=0.1\nB: 0..400=0.1\n# again\nA: 0..400=0.6\n", "line 4: terminal 'A' already declared on line 1"),
+    ("A: 0..1e309=0.1\n", "line 1: non-finite value in interval '0..1e309=0.1'"),
+])
+def test_check_prints_the_golden_diagnostic_of_a_malformed_stimulus(tmp_path, capsys, text, diagnostic):
+    bad = tmp_path / "bad.mls"
+    bad.write_text(text)
+    assert main(["check", "--circuit", ADDER, "--stimulus", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {diagnostic}\n"
+
+
 @pytest.mark.parametrize("dt, cut", [("0.7", True), ("1", False), ("0.01", False)])
 def test_horizon_cut_by_the_dt_grid_is_reported(tmp_path, capsys, dt, cut):
     out = tmp_path / "trace.csv"
@@ -199,7 +243,7 @@ SCHEDULES = {
 @pytest.mark.parametrize("scheduled", [False, True], ids=["canned", "schedule"])
 def test_characterize_writes_the_bytes_of_the_whole_trace(tmp_path, capsys, gate, dt, scheduled):
     """``characterize`` writes one window at a time: at dt = 0.05 ms its 8000 records are four windows.  Its CSV
-    and sidecar equal those ``write_trace`` leaves from the whole trace of ``characterize_gate``."""
+    and sidecar equal those ``write_trace`` leaves from the whole trace of ``gate_circuit(kind)``."""
     cfg, kind = SimConfig(dt=float(dt)), GateKind(gate)
     flags, fixtures, schedule = [], {}, default_characterization_schedule(kind, cfg)
     if scheduled:
@@ -209,7 +253,7 @@ def test_characterize_writes_the_bytes_of_the_whole_trace(tmp_path, capsys, gate
     out = tmp_path / "cli.csv"
     assert main(["characterize", "--gate", gate, "--dt", dt, "--out", str(out), *flags]) == 0
     assert capsys.readouterr().out == f"wrote {cfg.steps} records to {out}\n"
-    write_trace(characterize_gate(kind, schedule, cfg), str(tmp_path / "whole.csv"), fixtures)
+    write_trace(simulate(gate_circuit(kind), schedule, cfg), str(tmp_path / "whole.csv"), fixtures)
     for suffix in ("", ".meta.json"):
         assert (tmp_path / f"cli.csv{suffix}").read_bytes() == (tmp_path / f"whole.csv{suffix}").read_bytes()
 

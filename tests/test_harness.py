@@ -9,7 +9,6 @@ from memlogic.gates import GateKind
 from memlogic.harness import (
     adder_truth,
     build_full_adder,
-    characterize_gate,
     default_characterization_schedule,
     fixture_text,
     gate_circuit,
@@ -96,6 +95,11 @@ class TestExtendedTruthTable:
         assert read_binary(trace, "SUM", 400.0) == s_expected
         assert read_binary(trace, "COUT", 400.0) == c_expected
 
+    @pytest.mark.parametrize("bits", [(2, 0, 0), (0, -1, 0), (0, 0, 3)])
+    def test_a_pattern_bit_other_than_0_or_1_is_rejected(self, bits):
+        with pytest.raises(ValueError, match="pattern bits must be 0 or 1"):
+            run_pattern(*bits, CFG)
+
 
 class TestMnotFloor:
     def test_global_minimum_brackets_reported_floor(self):
@@ -159,7 +163,7 @@ class TestLearningPersistence:
 
 class TestCharacterization:
     def test_mor_rises_during_activation_and_holds_between(self):
-        trace = characterize_gate(GateKind.MOR, default_characterization_schedule(GateKind.MOR, CFG), CFG)
+        trace = simulate(gate_circuit(GateKind.MOR), default_characterization_schedule(GateKind.MOR, CFG), CFG)
         out = trace.column("OUT")
         idx = {int(ms): trace.index_at(float(ms)) for ms in (100, 101, 150, 160, 200, 250, 300, 310, 400)}
         assert out[idx[150]] > out[idx[101]]                 # rises while driven
@@ -171,14 +175,14 @@ class TestCharacterization:
         assert out[idx[300]] > out[idx[150]]                 # accumulation across activations
 
     def test_mand_flat_for_alternating_then_rises_together(self):
-        trace = characterize_gate(GateKind.MAND, default_characterization_schedule(GateKind.MAND, CFG), CFG)
+        trace = simulate(gate_circuit(GateKind.MAND), default_characterization_schedule(GateKind.MAND, CFG), CFG)
         out = trace.column("OUT")
         t = trace.times
         assert all(out[k] == 0.0 for k in range(t.index(300.0)))   # single inputs: no change
         assert out[-1] > 0.0                                        # joint drive reinforces
 
     def test_mnot_starts_high_falls_then_holds(self):
-        trace = characterize_gate(GateKind.MNOT, default_characterization_schedule(GateKind.MNOT, CFG), CFG)
+        trace = simulate(gate_circuit(GateKind.MNOT), default_characterization_schedule(GateKind.MNOT, CFG), CFG)
         out = trace.column("OUT")
         t = trace.times
         k_onset, k_off = t.index(100.0), t.index(250.0)

@@ -9,10 +9,12 @@ from memlogic.gates import GateKind
 from memlogic.harness import fixture_text
 from memlogic.netlist import (
     ArityError,
+    CircuitGraph,
     CoverageError,
     CycleError,
     DanglingNetError,
     DuplicateError,
+    GateNode,
     NetlistError,
     NetlistSyntaxError,
     OverlapError,
@@ -222,6 +224,76 @@ def stimuli(draw):
 @settings(max_examples=100)
 def test_serialized_stimulus_parses_back_equal(stim):
     assert parse_stimulus(serialize_stimulus(stim)) == stim
+
+
+def reference_topological_order(graph):
+    """The ready list re-sorted by declaration index after every pop that readied a gate: the oracle."""
+    decl_index = {node.id: i for i, node in enumerate(graph.nodes)}
+    dependents = {node.id: [] for node in graph.nodes}
+    in_degree = {}
+    for node in graph.nodes:
+        gate_deps = [s for s in node.sources if isinstance(s, int)]
+        in_degree[node.id] = len(gate_deps)
+        for dep in gate_deps:
+            dependents[dep].append(node.id)
+    ready = sorted((i for i, d in in_degree.items() if d == 0), key=decl_index.__getitem__)
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        changed = False
+        for dep in dependents[current]:
+            in_degree[dep] -= 1
+            if in_degree[dep] == 0:
+                ready.append(dep)
+                changed = True
+        if changed:
+            ready.sort(key=decl_index.__getitem__)
+    if len(order) != len(graph.nodes):
+        stuck = min((i for i, d in in_degree.items() if d > 0), key=decl_index.__getitem__)
+        raise CycleError(f"circuit contains a feedback loop through gate {stuck}")
+    return order
+
+
+@st.composite
+def gate_graphs(draw, acyclic):
+    """Gates with distinct drawn ids, declared in shuffled order.  An acyclic graph's gates draw their gate sources
+    from gates earlier in a hidden rank; otherwise from any gate, themselves included."""
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
+    nodes = []
+    for rank, gate_id in enumerate(ids):
+        drivers = ids[:rank] if acyclic else ids
+        kind = draw(st.sampled_from(GateKind))
+        source = st.sampled_from(["A", *drivers])
+        nodes.append(GateNode(gate_id, kind, tuple(draw(source) for _ in range(kind.arity))))
+    return CircuitGraph(tuple(draw(st.permutations(nodes))), ("A",), ())
+
+
+@given(gate_graphs(acyclic=True))
+@settings(max_examples=300)
+def test_topological_order_of_a_dag_matches_the_resorting_oracle(graph):
+    order = topological_order(graph)
+    assert order == reference_topological_order(graph)
+    position = {gate_id: k for k, gate_id in enumerate(order)}
+    for node in graph.nodes:
+        assert all(position[s] < position[node.id] for s in node.sources if isinstance(s, int))
+    assert parse_circuit(serialize_circuit(graph)) == graph
+
+
+@given(gate_graphs(acyclic=False))
+@example(CircuitGraph((GateNode(1, GateKind.MOR, (3, "A")), GateNode(2, GateKind.MOR, (3, "A")),
+                       GateNode(3, GateKind.MNOT, (2,))), ("A",), ()))
+@settings(max_examples=300)
+def test_topological_order_of_any_graph_matches_the_resorting_oracle(graph):
+    try:
+        expected = reference_topological_order(graph)
+    except CycleError as exc:
+        for order in (topological_order, lambda g: parse_circuit(serialize_circuit(g))):
+            with pytest.raises(CycleError) as got:
+                order(graph)
+            assert str(got.value) == str(exc)
+    else:
+        assert topological_order(graph) == expected
 
 
 FUZZ_TOKENS = [

@@ -125,6 +125,13 @@ def test_a_trace_without_records_holds_no_time():
         Trace(SimConfig(), {"t_ms": [], "NET": []}).index_at(1.0)
 
 
+@pytest.mark.parametrize("traces", [[], (t for t in ())], ids=["list", "generator"])
+def test_writing_no_trace_is_a_value_error_and_opens_no_file(tmp_path, traces):
+    with pytest.raises(ValueError, match="no trace"):
+        write_trace(iter(traces), str(tmp_path / "trace.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checks_of_a_windowed_run_come_before_any_window():
     """A coverage gap after the first window is found when ``simulate_windows`` returns, not when it is read."""
     graph = parse_circuit("input A\ngate 1 MNOT A\n")
