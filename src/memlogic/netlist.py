@@ -205,11 +205,9 @@ def parse_circuit(text: str) -> CircuitGraph:
         elif keyword == "gate":
             if len(tokens) < 4:
                 raise NetlistSyntaxError("expected: gate <ID> <KIND> <src> [<src>]", lineno, 1)
-            try:
-                gate_id = int(tokens[1])
-            except ValueError:
-                raise NetlistSyntaxError(f"gate id must be an integer, got {tokens[1]!r}",
-                                         lineno, _column_of(line, 1)) from None
+            if not re.fullmatch(r"-?[0-9]+", tokens[1]):  # ``int`` would also take "+1", "1_0" and non-ASCII digits
+                raise NetlistSyntaxError(f"gate id must be an integer, got {tokens[1]!r}", lineno, _column_of(line, 1))
+            gate_id = int(tokens[1])
             if gate_id <= 0:
                 raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno, _column_of(line, 1))
             if gate_id in gates:
@@ -224,7 +222,7 @@ def parse_circuit(text: str) -> CircuitGraph:
                 raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(srcs)}", lineno)
             sources: list[str | int] = []
             for i, src in enumerate(srcs):
-                if re.fullmatch(r"\d+", src):
+                if re.fullmatch(r"[0-9]+", src):
                     sources.append(int(src))
                 elif _NAME_RE.match(src):
                     sources.append(src)
@@ -235,12 +233,10 @@ def parse_circuit(text: str) -> CircuitGraph:
             if len(tokens) != 3:
                 raise NetlistSyntaxError("expected: output <NAME> <ID>", lineno, 1)
             declare(tokens[1], "output", lineno, line)
-            try:
-                target = int(tokens[2])
-            except ValueError:
+            if not re.fullmatch(r"[0-9]+", tokens[2]):
                 raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}",
-                                         lineno, _column_of(line, 2)) from None
-            outputs.append((lineno, tokens[1], target))
+                                         lineno, _column_of(line, 2))
+            outputs.append((lineno, tokens[1], int(tokens[2])))
         elif keyword == "format":
             raise NetlistSyntaxError("format line must come first", lineno, 1)
         else:
@@ -274,7 +270,9 @@ def topological_order(graph: CircuitGraph) -> list[int]:
 
     Ties are broken by declaration order: the ready gates stay sorted as
     ``(declaration index, id)`` pairs and the first is taken next.  Raises
-    :class:`CycleError` naming the earliest declared gate it cannot order.
+    :class:`CycleError` naming a gate on a loop: from the earliest declared
+    gate it cannot order, it steps to the first such driver of each gate
+    until one repeats, and names the earliest declared gate of that loop.
     """
     decl_index = {node.id: i for i, node in enumerate(graph.nodes)}
     dependents: dict[int, list[int]] = {node.id: [] for node in graph.nodes}
@@ -295,7 +293,11 @@ def topological_order(graph: CircuitGraph) -> list[int]:
             if in_degree[dep] == 0:
                 insort(ready, (decl_index[dep], dep))
     if len(order) != len(graph.nodes):
-        stuck = min((i for i, d in in_degree.items() if d > 0), key=decl_index.__getitem__)
+        # Each gate left unordered has a driver left unordered, so the walk comes round to a gate again.
+        walk = [min((i for i, d in in_degree.items() if d > 0), key=decl_index.__getitem__)]
+        while walk[-1] not in walk[:-1]:
+            walk.append(next(s for s in graph.nodes[decl_index[walk[-1]]].sources if in_degree.get(s)))
+        stuck = min(walk[walk.index(walk[-1]):], key=decl_index.__getitem__)
         raise CycleError(f"circuit contains a feedback loop through gate {stuck}")
     return order
 

@@ -177,6 +177,14 @@ GOLDEN_CIRCUIT_DIAGNOSTICS = {
     "08_cycle.mlc": "error: circuit contains a feedback loop through gate 1",
     "09_dangling_output.mlc": "error: line 4: output 'S' references undeclared gate 4",
     "10_bad_format.mlc": "error: line 1, column 1: unsupported format 'format memlogic/9'",
+    # A gate id, an output target and a source naming a gate are ASCII digits, though ``int`` takes these spellings.
+    "11_underscore_id.mlc": "error: line 3, column 6: gate id must be an integer, got '1_0'",
+    "12_plus_id.mlc": "error: line 3, column 6: gate id must be an integer, got '+10'",
+    "13_plus_target.mlc": "error: line 4, column 10: output target must be a gate id, got '+10'",
+    "14_non_ascii_id.mlc": "error: line 3, column 6: gate id must be an integer, got '\u0662'",
+    "15_non_ascii_source.mlc": "error: line 3, column 15: invalid source '\u0661\u0660'",
+    # Gate 1 reads the loop 2 <-> 3 but is not on it.
+    "16_cycle_off_loop.mlc": "error: circuit contains a feedback loop through gate 2",
 }
 
 
@@ -309,6 +317,33 @@ def test_cli_import_and_check_load_no_heavy_modules():
     assert "memlogic.cli" in loaded
     assert HEAVY_IMPORTS.isdisjoint(loaded), sorted(HEAVY_IMPORTS.intersection(loaded))
 
+
+# ``_hashlib`` maps OpenSSL's libcrypto, which raised a run's peak RSS by 3 MB.
+SIDECAR_IMPORTS = {"hashlib", "_hashlib", "json"}
+RUN_PROBE = """
+import sys
+before = set(sys.modules)
+from memlogic.cli import main
+circuit, stimulus, schedule, out = sys.argv[1:]
+codes = [main(["run", "--circuit", circuit, "--stimulus", stimulus, "--out", out + "/run.csv"]),
+         main(["characterize", "--gate", "MOR", "--schedule", schedule, "--out", out + "/mor.csv"])]
+print(*codes, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_run_and_characterize_write_their_sidecars_without_hashlib_or_json(tmp_path):
+    schedule = tmp_path / "schedule.mls"
+    schedule.write_text(SCHEDULES["MOR"])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", RUN_PROBE, ADDER, PATTERN_101, str(schedule), str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+                          check=True)
+    run_code, characterize_code, *loaded = done.stdout.splitlines()[-1].split()
+    assert (run_code, characterize_code) == ("0", "0")
+    assert SIDECAR_IMPORTS.isdisjoint(loaded), sorted(SIDECAR_IMPORTS.intersection(loaded))
+    assert json.loads((tmp_path / "mor.csv.meta.json").read_text())["fixtures"]["schedule"] == \
+        hashlib.sha256(SCHEDULES["MOR"].encode()).hexdigest()
+    assert set(json.loads((tmp_path / "run.csv.meta.json").read_text())["fixtures"]) == {"circuit", "stimulus"}
 
 
 def _flag_values(finite):

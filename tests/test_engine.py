@@ -3,8 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +20,7 @@ from memlogic.engine import (
     SimConfig,
     Trace,
     _clip,
+    _json_text,
     _sample,
     classify,
     final_states,
@@ -331,6 +336,58 @@ class TestTraceExport:
         with pytest.raises(AttributeError):
             write_trace(synthetic_trace([0.1, 0.2]), str(tmp_path / "trace.csv"), {"circuit": None})
         assert not (tmp_path / "trace.csv.meta.json").exists()
+
+
+# Text with non-ASCII, control and lone surrogate characters, which ``json`` escapes to ASCII.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+# Finite floats, with the signed zero, the smallest subnormal and a near-largest double drawn often.
+JSON_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]),
+                        st.integers(), st.sampled_from([2**64, -(10**40)]))
+JSON_VALUE = st.recursive(st.none() | JSON_NUMBER | JSON_TEXT,
+                          lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+                          max_leaves=8)
+SIDECARS = st.fixed_dictionaries({
+    "version": JSON_TEXT,
+    "config": st.dictionaries(JSON_TEXT, JSON_NUMBER, max_size=8),
+    "params": st.none() | st.dictionaries(JSON_TEXT, JSON_NUMBER, max_size=8),
+    "fixtures": st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=3),
+    "records": st.integers(min_value=0),
+    "columns": st.lists(JSON_TEXT, max_size=8),
+}, optional={"extra": JSON_VALUE})
+
+
+class TestSidecarText:
+    """The sidecar is written without ``json``, in the exact layout of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @given(SIDECARS)
+    @example({"version": "0.1.0", "config": {}, "params": None, "fixtures": {}, "records": 0, "columns": []})
+    @settings(max_examples=300, deadline=None)
+    def test_sidecar_text_is_the_json_dumps_text(self, meta):
+        assert _json_text(meta) == json.dumps(meta, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [True, False, {"b": True}, [0.5, False], {"nan": math.nan}, [math.inf],
+                                       ("a",), {"a": {1.0}}, b"a", {1: 2.0}, type("Volts", (float,), {})(0.5)])
+    def test_values_a_sidecar_does_not_hold_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    def test_without_the_own_sha256_module_the_hashlib_fallback_writes_the_same_sidecar(self, tmp_path):
+        package = Path(memlogic.__file__).parent
+        circuit, stim = package / "fixtures" / "adder.mlc", package / "fixtures" / "pattern_101.mls"
+        probe = ("import sys\n"
+                 "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+                 "from memlogic.cli import main\n"
+                 "main(['run', '--circuit', sys.argv[1], '--stimulus', sys.argv[2], '--out', sys.argv[3]])\n"
+                 "assert 'hashlib' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", probe, str(circuit), str(stim), str(tmp_path / "fallback.csv")],
+                       env={**os.environ, "PYTHONPATH": str(package.parent)}, capture_output=True, timeout=60,
+                       check=True)
+        texts = {"circuit": circuit.read_text(encoding="utf-8"), "stimulus": stim.read_text(encoding="utf-8")}
+        trace = simulate(parse_circuit(texts["circuit"]), parse_stimulus(texts["stimulus"]))
+        write_trace(trace, str(tmp_path / "own.csv"), texts)
+        fallback = (tmp_path / "fallback.csv.meta.json").read_bytes()
+        assert fallback == (tmp_path / "own.csv.meta.json").read_bytes()
+        assert json.loads(fallback)["fixtures"]["circuit"] == hashlib.sha256(texts["circuit"].encode()).hexdigest()
 
 
 class TestPackedTrace:
