@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .device import ConfigError, DeviceParams
-from .engine import SimConfig, simulate_windows, write_trace
+from .engine import SimConfig, _write_json, simulate_windows, write_trace
 # ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
 from .engine import simulate  # noqa: F401
 from .gates import GateKind
@@ -80,11 +80,7 @@ def cmd_adder(args: argparse.Namespace) -> int:
             report.append(v.as_dict())
             all_passed = all_passed and v.passed
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, report)
     return 0 if all_passed else 1
 
 

@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     """A device, gate or run setting that the model rejects."""
 
 
+def _check_numbers(fields) -> None:
+    """Raise ``ConfigError`` naming the first field of a settings tuple that is a ``bool`` or not finite."""
+    for name, value in zip(fields._fields, fields):
+        if type(value) is bool or not math.isfinite(value):
+            raise ConfigError(f"{name} must be {'a number' if type(value) is bool else 'finite'}, got {value}")
+
+
 class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1_dep t2_dep",
                               defaults=(-3e-7, -1e-7, 30.0, 300.0, 4e-7, 0.5, -0.1, 0.6, None, None))):
     """Physical constants of one memristive element.
@@ -33,7 +40,7 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
     ``a2``/``t2`` the slow one; ``c`` is the saturation current at the
     reference bias ``v_ref``.  Depression (conductance decay) may use its
     own time constants ``t1_dep``/``t2_dep``; they default to the
-    potentiation values.  Every field must be finite.
+    potentiation values.  Every field must be a finite number, not a ``bool``.
     """
 
     __slots__ = ()
@@ -45,9 +52,7 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
         if self.t1_dep is None or self.t2_dep is None:
             return self._replace(t1_dep=self.t1 if self.t1_dep is None else self.t1_dep,
                                  t2_dep=self.t2 if self.t2_dep is None else self.t2_dep)
-        for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        _check_numbers(self)
         if min(self.t1, self.t2, self.t1_dep, self.t2_dep) <= 0:
             raise ConfigError("time constants must be positive")
         if not self.v_red < self.v_ox:

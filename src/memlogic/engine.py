@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import accumulate, islice
 from operator import itemgetter
 
-from .device import ConfigError, DeviceParams, MemristorState, new_state
+from .device import ConfigError, DeviceParams, MemristorState, _check_numbers, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
 from .device import model_current  # noqa: F401
 from .gates import GateInstance
@@ -68,7 +68,7 @@ class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshol
     0, and anything between is reported as ambiguous.  The defaults put
     the canonical 0.3 V ambiguity marker inside the band while staying
     reachable by second-level gates within the standard 400 ms protocol.
-    Every field must be finite.
+    Every field must be a finite number, not a ``bool``.
     """
 
     __slots__ = ()
@@ -77,9 +77,7 @@ class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshol
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        _check_numbers(self)
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.horizon < self.dt:
@@ -174,20 +172,16 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
         # Views, not copies: a copy of every varying column of a 1635-column block raises peak memory.
         columns = [memoryview(c) for c in self.columns.values()]
         records = self.records
-        templates: dict[tuple, bytes] = {}  # keyed by each column's first bytes if it holds, else by its lead
         for a in range(0, records, _CSV_BLOCK):
             b = min(a + _CSV_BLOCK, records)
-            # A varying column's lead is the first column whose block has the same bytes.
+            # Each column's lead: None if its block holds one value, else the first column whose block has its bytes.
             leads, blocks = {}, (c[a:b].tobytes() for c in columns)
-            key = tuple(k[:8] if k == k[:8] * (b - a) else leads.setdefault(k, i) for i, k in enumerate(blocks))
+            lead = [None if k == k[:8] * (b - a) else leads.setdefault(k, i) for i, k in enumerate(blocks)]
             del leads
-            varies = [(i, k) for i, k in enumerate(key) if type(k) is int]
+            varies = [(i, k) for i, k in enumerate(lead) if k is not None]
             shared = {k for i, k in varies if i != k}  # the leads of blocks that two or more columns hold
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = b",".join(
-                    b"%.8e" % c[a] if type(k) is bytes else b"%b" if k in shared else b"%.8e"
-                    for k, c in zip(key, columns)) + b"\n"
+            template = b",".join(b"%.8e" % c[a] if k is None else b"%b" if k in shared else b"%.8e"
+                                 for k, c in zip(lead, columns)) + b"\n"
             # One ``%`` per record, appended to a chunk begun after the block's temporaries: a chunk carried
             # across blocks raised fine_dt's peak memory.  zip() of no columns gives no rows, so a block with
             # every column constant repeats its template.
@@ -397,21 +391,29 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, for what a sidecar holds: a str, a
-    finite float, an int, None, and lists and str-keyed dicts of them.  Any other value, bool included, is a TypeError."""
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, for a str, a finite float, an int, a
+    bool, None, and lists and str-keyed dicts of them: what a sidecar or adder report holds.  Else a TypeError."""
     from _json import encode_basestring_ascii as quote
     if isinstance(value, str):
         return quote(value)
-    if value is None:
-        return "null"
+    if value is None or type(value) is bool:
+        return {None: "null", True: "true", False: "false"}[value]
     if type(value) is int or type(value) is float and math.isfinite(value):
         return repr(value)
     if not isinstance(value, (dict, list)):
-        raise TypeError(f"a sidecar holds no {type(value).__name__} such as {value!r}")
+        raise TypeError(f"no JSON text is written for the {type(value).__name__} {value!r}")
     inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
     items = ([f"{quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())] if isinstance(value, dict)
              else [_json_text(v, inner) for v in value])
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+def _write_json(path: str, value) -> None:
+    """Write ``value`` as ``json.dump(value, indent=2, sort_keys=True)`` does, then a newline.  The text is made
+    first, so a value it cannot hold (a ``TypeError``) opens no file."""
+    text = _json_text(value) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
@@ -425,19 +427,15 @@ def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = Non
     window = next(windows, None)
     if window is None:
         raise ValueError("write_trace was given no trace to write")
-    # What the sidecar reads of the traces, without their records.  The sidecar imports neither ``hashlib``, which
+    # The sidecar, taken before any file is opened, so a failure leaves none.  It imports neither ``hashlib``, which
     # maps OpenSSL's libcrypto, nor ``json``: without them adder8's peak RSS fell from 18.10 to 15.43 MB.
-    shell = Trace(window.config, dict.fromkeys(window.columns, ()), window.params)
-    records = 0
+    meta = window.metadata(fixture_texts)
+    meta["records"] = 0  # counted below, over every trace
     with open(csv_path, "wb") as fh:
         fh.write(next(window.csv_chunks()))  # the header; each trace's own is skipped below
         while window is not None:
             fh.writelines(islice(window.csv_chunks(), 1, None))
-            records += window.records
+            meta["records"] += window.records
             del window  # so that the next trace is made without this one live
             window = next(windows, None)
-    meta = shell.metadata(fixture_texts)
-    meta["records"] = records
-    text = _json_text(meta) + "\n"  # made first, so that a failure leaves no empty sidecar
-    with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_json(csv_path + ".meta.json", meta)

@@ -8,7 +8,6 @@ multi-stage output can settle within 100 ms of onset; the achieved settle
 times are pinned by the companion regression test below it.
 """
 
-import math
 import random
 import time
 from pathlib import Path
@@ -30,14 +29,11 @@ from memlogic.netlist import (
     parse_stimulus,
 )
 
+from closed_form import closed_form_current
+
 PARAMS = DeviceParams()
 CFG = SimConfig()
 MALFORMED_DIR = Path(__file__).parent / "data" / "malformed"
-
-
-def closed_form_current(t_ms: float, p: DeviceParams = PARAMS) -> float:
-    """Independent oracle: direct scalar evaluation of the conduction law."""
-    return p.a1 * math.exp(-t_ms / p.t1) + p.a2 * math.exp(-t_ms / p.t2) + p.c
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

@@ -18,7 +18,7 @@ from memlogic.cli import _config_from, build_parser, main
 from memlogic.device import DeviceParams
 from memlogic.engine import SimConfig, simulate, write_trace
 from memlogic.gates import GateKind
-from memlogic.harness import default_characterization_schedule, fixture_dir, gate_circuit
+from memlogic.harness import default_characterization_schedule, fixture_dir, gate_circuit, run_pattern
 from memlogic.netlist import parse_stimulus
 
 
@@ -89,6 +89,18 @@ def test_adder_command_passes_and_reports(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert len(payload) == 16
     assert all(entry["pass"] for entry in payload)
+
+
+@pytest.mark.parametrize("flags", [[], ["--vox", "0.45"]])
+def test_adder_report_is_the_verdicts_in_the_json_dumps_layout(tmp_path, capsys, flags):
+    report = tmp_path / "verdicts.json"
+    main(["adder", *flags, "--out", str(report)])
+    text = report.read_text(encoding="utf-8")
+    # Keys sorted and a two-space indent, as the sidecar is written.
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    cfg, params = _config_from(build_parser().parse_args(["adder", *flags]))
+    bits = [(a, b, cin) for a in (0, 1) for b in (0, 1) for cin in (0, 1)]
+    assert json.loads(text) == [v.as_dict() for p in bits for v in run_pattern(*p, cfg=cfg, params=params)[1]]
 
 
 def test_adder_verdicts_stable_at_half_timestep(capsys):
@@ -326,24 +338,27 @@ before = set(sys.modules)
 from memlogic.cli import main
 circuit, stimulus, schedule, out = sys.argv[1:]
 codes = [main(["run", "--circuit", circuit, "--stimulus", stimulus, "--out", out + "/run.csv"]),
-         main(["characterize", "--gate", "MOR", "--schedule", schedule, "--out", out + "/mor.csv"])]
+         main(["characterize", "--gate", "MOR", "--schedule", schedule, "--out", out + "/mor.csv"]),
+         main(["adder", "--out", out + "/adder.json"])]
 print(*codes, *sorted(set(sys.modules) - before))
 """
 
 
 def test_run_and_characterize_write_their_sidecars_without_hashlib_or_json(tmp_path):
+    """``adder --out`` writes its report through the same JSON writer as the sidecars, so it loads neither too."""
     schedule = tmp_path / "schedule.mls"
     schedule.write_text(SCHEDULES["MOR"])
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", RUN_PROBE, ADDER, PATTERN_101, str(schedule), str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
                           check=True)
-    run_code, characterize_code, *loaded = done.stdout.splitlines()[-1].split()
-    assert (run_code, characterize_code) == ("0", "0")
+    run_code, characterize_code, adder_code, *loaded = done.stdout.splitlines()[-1].split()
+    assert (run_code, characterize_code, adder_code) == ("0", "0", "0")
     assert SIDECAR_IMPORTS.isdisjoint(loaded), sorted(SIDECAR_IMPORTS.intersection(loaded))
     assert json.loads((tmp_path / "mor.csv.meta.json").read_text())["fixtures"]["schedule"] == \
         hashlib.sha256(SCHEDULES["MOR"].encode()).hexdigest()
     assert set(json.loads((tmp_path / "run.csv.meta.json").read_text())["fixtures"]) == {"circuit", "stimulus"}
+    assert len(json.loads((tmp_path / "adder.json").read_text())) == 16
 
 
 def _flag_values(finite):

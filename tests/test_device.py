@@ -17,12 +17,9 @@ from memlogic.device import (
 from memlogic.engine import SimConfig
 from memlogic.gates import GateInstance, GateKind
 
+from closed_form import closed_form_current
+
 PARAMS = DeviceParams()
-
-
-def closed_form_current(t_ms: float, p: DeviceParams = PARAMS) -> float:
-    """Independent oracle: direct evaluation of the double-exponential law."""
-    return p.a1 * math.exp(-t_ms / p.t1) + p.a2 * math.exp(-t_ms / p.t2) + p.c
 
 
 def rel_err(got: float, want: float) -> float:

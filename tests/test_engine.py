@@ -39,16 +39,11 @@ from memlogic.netlist import (
     parse_circuit,
     parse_stimulus,
 )
+from closed_form import closed_form_current
 from test_csv_render import plain_csv
 from test_engine_oracle import DT, VOLTS
 
-PARAMS = DeviceParams()
-
 SINGLE_MOR = "input A\ninput B\ngate 1 MOR A B\noutput OUT 1\n"
-
-
-def closed_form_current(t_ms: float, p: DeviceParams = PARAMS) -> float:
-    return p.a1 * math.exp(-t_ms / p.t1) + p.a2 * math.exp(-t_ms / p.t2) + p.c
 
 
 def stimulus(a: str, b: str) -> str:
@@ -336,6 +331,7 @@ class TestTraceExport:
         with pytest.raises(AttributeError):
             write_trace(synthetic_trace([0.1, 0.2]), str(tmp_path / "trace.csv"), {"circuit": None})
         assert not (tmp_path / "trace.csv.meta.json").exists()
+        assert not (tmp_path / "trace.csv").exists()  # the sidecar is made before the CSV is opened
 
 
 # Text with non-ASCII, control and lone surrogate characters, which ``json`` escapes to ASCII.
@@ -343,7 +339,7 @@ JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
 # Finite floats, with the signed zero, the smallest subnormal and a near-largest double drawn often.
 JSON_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]),
                         st.integers(), st.sampled_from([2**64, -(10**40)]))
-JSON_VALUE = st.recursive(st.none() | JSON_NUMBER | JSON_TEXT,
+JSON_VALUE = st.recursive(st.none() | st.booleans() | JSON_NUMBER | JSON_TEXT,
                           lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
                           max_leaves=8)
 SIDECARS = st.fixed_dictionaries({
@@ -357,16 +353,21 @@ SIDECARS = st.fixed_dictionaries({
 
 
 class TestSidecarText:
-    """The sidecar is written without ``json``, in the exact layout of ``json.dumps(indent=2, sort_keys=True)``."""
+    """The sidecar and the adder report are written without ``json``, in the exact layout of
+    ``json.dumps(indent=2, sort_keys=True)``."""
 
-    @given(SIDECARS)
+    @given(SIDECARS | JSON_VALUE)
     @example({"version": "0.1.0", "config": {}, "params": None, "fixtures": {}, "records": 0, "columns": []})
+    @example(True)
+    @example(False)
+    @example({"b": True})
+    @example([0.5, False])
     @settings(max_examples=300, deadline=None)
     def test_sidecar_text_is_the_json_dumps_text(self, meta):
         assert _json_text(meta) == json.dumps(meta, indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("value", [True, False, {"b": True}, [0.5, False], {"nan": math.nan}, [math.inf],
-                                       ("a",), {"a": {1.0}}, b"a", {1: 2.0}, type("Volts", (float,), {})(0.5)])
+    @pytest.mark.parametrize("value", [{"nan": math.nan}, [math.inf], ("a",), {"a": {1.0}}, b"a", {1: 2.0},
+                                       type("Volts", (float,), {})(0.5)])
     def test_values_a_sidecar_does_not_hold_are_a_type_error(self, value):
         with pytest.raises(TypeError):
             _json_text(value)

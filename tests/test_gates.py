@@ -1,18 +1,14 @@
 """Gate-level behaviour: drive combination, memory laws, inversion."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.device import DeviceParams, MemristorState, model_current
 from memlogic.gates import R1, R2, R_OFF_CAP, V_RAIL, GateInstance, GateKind
 
+from closed_form import closed_form_current
+
 PARAMS = DeviceParams()
-
-
-def closed_form_current(t_ms: float, p: DeviceParams = PARAMS) -> float:
-    return p.a1 * math.exp(-t_ms / p.t1) + p.a2 * math.exp(-t_ms / p.t2) + p.c
 
 
 def drive_gate(gate: GateInstance, inputs, ms: int, dt: float = 1.0) -> float:

@@ -23,6 +23,10 @@ BAD_VALUES = [
     (lambda: SimConfig(v_logic0=math.inf), ConfigError, "v_logic0 must be finite, got inf"),
     (lambda: SimConfig(threshold_low=math.nan), ConfigError, "threshold_low must be finite, got nan"),
     (lambda: SimConfig(threshold_high=math.inf), ConfigError, "threshold_high must be finite, got inf"),
+    # A bool is an int to ``math.isfinite`` and to arithmetic, but no sidecar or flag holds one.
+    (lambda: SimConfig(dt=True), ConfigError, "dt must be a number, got True"),
+    (lambda: SimConfig(horizon=True, dt=0.5), ConfigError, "horizon must be a number, got True"),
+    (lambda: SimConfig(threshold_low=False), ConfigError, "threshold_low must be a number, got False"),
     (lambda: SimConfig(dt=0.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=-1.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=1.0, horizon=0.5), ConfigError, "horizon must cover at least one step"),
@@ -35,6 +39,10 @@ BAD_VALUES = [
     (lambda: DeviceParams(t2_dep=math.inf), ConfigError, "t2_dep must be finite, got inf"),
     (lambda: DeviceParams(v_ox=math.nan), ConfigError, "v_ox must be finite, got nan"),
     (lambda: DeviceParams(a1=-math.inf), ConfigError, "a1 must be finite, got -inf"),
+    (lambda: DeviceParams(c=True), ConfigError, "c must be a number, got True"),
+    (lambda: DeviceParams(t1=True), ConfigError, "t1 must be a number, got True"),
+    (lambda: DeviceParams(t2_dep=True), ConfigError, "t2_dep must be a number, got True"),
+    (lambda: DeviceParams(a2=False), ConfigError, "a2 must be a number, got False"),
     # DeviceParams: then one check per setting.
     (lambda: DeviceParams(t1=0.0), ConfigError, "time constants must be positive"),
     (lambda: DeviceParams(t2=-1.0), ConfigError, "time constants must be positive"),
@@ -78,6 +86,8 @@ def test_bad_value_raises_its_error_and_message(make, error, message):
      "relaxation coordinates out of [0, 1]: (1.0, 1.5)"),
     (lambda: SimConfig._make([math.nan, 400.0, 1.5e6, 0.6, 0.1, 0.25, 0.35]), ConfigError,
      "dt must be finite, got nan"),
+    (lambda: SimConfig()._replace(v_logic1=True), ConfigError, "v_logic1 must be a number, got True"),
+    (lambda: DeviceParams()._replace(v_red=False), ConfigError, "v_red must be a number, got False"),
 ])
 def test_derived_copies_are_checked_too(make, error, message):
     with pytest.raises(error) as info:
