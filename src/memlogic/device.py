@@ -25,10 +25,13 @@ class ConfigError(ValueError):
 
 
 def _check_numbers(fields) -> None:
-    """Raise ``ConfigError`` naming the first field of a settings tuple that is a ``bool`` or not finite."""
+    """Raise ``ConfigError`` naming the first field of a settings tuple that is not a finite, exact int or float."""
     for name, value in zip(fields._fields, fields):
-        if type(value) is bool or not math.isfinite(value):
-            raise ConfigError(f"{name} must be {'a number' if type(value) is bool else 'finite'}, got {value}")
+        if type(value) not in (int, float):
+            raise ConfigError(f"{name} must be a number, got {value}" if type(value) is bool
+                              else f"{name} must be an int or a float, not {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1_dep t2_dep",
@@ -40,7 +43,7 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
     ``a2``/``t2`` the slow one; ``c`` is the saturation current at the
     reference bias ``v_ref``.  Depression (conductance decay) may use its
     own time constants ``t1_dep``/``t2_dep``; they default to the
-    potentiation values.  Every field must be a finite number, not a ``bool``.
+    potentiation values.  Every field must be a finite ``int`` or ``float``, of exactly that type.
     """
 
     __slots__ = ()

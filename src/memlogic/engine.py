@@ -16,11 +16,11 @@ one per stimulus segment.  The engine goes through the run in consecutive
 windows of records: each window fills its input columns from those runs,
 and each gate goes on from the state the window before left it in.
 :func:`simulate` is the one-window case; :func:`simulate_windows` yields
-windows of ``_WINDOW`` records, so that ``memlogic run`` and ``memlogic
-characterize`` hold one window of their trace at a time, whatever the
-horizon.  The netlist is acyclic, so at step k a gate depends only on its
-drivers at step k and on its own state; the engine therefore runs one gate
-at a time through every step of a window, in topological order, with
+windows of ``_WINDOW`` records, so that every ``memlogic`` command holds
+one or two of them at a time, whatever the horizon.  The netlist is
+acyclic, so at step k a gate depends only on its drivers at step k and
+on its own state; the engine therefore runs one gate at a time through
+every step of a window, in topological order, with
 :meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
 columns.  Each value comes from the same float operations, in the same
 order, as stepping the gate one step at a time would give, and a held run
@@ -31,6 +31,7 @@ so the windows hold the full trace's bits.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
@@ -68,7 +69,8 @@ class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshol
     0, and anything between is reported as ambiguous.  The defaults put
     the canonical 0.3 V ambiguity marker inside the band while staying
     reachable by second-level gates within the standard 400 ms protocol.
-    Every field must be a finite number, not a ``bool``.
+    Every field must be a finite ``int`` or ``float``, of exactly that
+    type, and ``horizon / dt`` at most ``sys.maxsize``.
     """
 
     __slots__ = ()
@@ -82,6 +84,8 @@ class SimConfig(namedtuple("SimConfig", "dt horizon b v_logic1 v_logic0 threshol
             raise ConfigError("dt must be positive")
         if self.horizon < self.dt:
             raise ConfigError("horizon must cover at least one step")
+        if not self.horizon / self.dt <= sys.maxsize:  # so ``steps`` is an int that ``range`` can hold
+            raise ConfigError(f"horizon / dt is {self.horizon / self.dt:g} steps, more than {sys.maxsize}")
         if self.b <= 0:
             raise ConfigError("current-to-voltage constant must be positive")
         if not self.threshold_low < self.threshold_high:
@@ -330,11 +334,10 @@ def simulate(
 ) -> Trace:
     """Run the circuit under the stimulus and record a full trace: :func:`simulate_windows` in one window.
 
-    Identical arguments produce bit-identical traces.  Every gate's device
-    has ``params`` and starts from its entry in ``states``, or fresh if it
-    has none; ``states=final_states(trace, graph)`` continues an earlier
-    run.  A ``states`` id that the netlist does not declare is a
-    ``ValueError``.  The trace records ``params``.
+    Identical arguments produce bit-identical traces.  Every gate's device has ``params`` and starts from its
+    entry in ``states``, or fresh if it has none; ``states=final_states(trace, graph)`` continues an earlier run.
+    A ``states`` id that the netlist does not declare is a ``ValueError``.  The trace records ``params``.  This is
+    the one path whose memory grows with the step count, as it holds the whole trace; no command calls it.
     """
     cfg = cfg or SimConfig()
     return next(_windows(graph, stimulus, cfg, params, states, cfg.steps))

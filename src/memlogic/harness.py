@@ -8,11 +8,11 @@ follow the standard protocol: every input held at logic 0 for the first
 from __future__ import annotations
 
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from pathlib import Path
 
 from .device import ConfigError, DeviceParams
-from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate
+from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
 from .gates import GateKind
 from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
 
@@ -71,13 +71,13 @@ def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
                 params: DeviceParams | None = None) -> tuple[Trace, list[Verdict]]:
     """Simulate one adder pattern and check SUM, then COUT, against the truth table at the horizon.
 
-    Every device starts fresh, with ``params``.
+    Every device starts fresh, with ``params``.  The returned trace is the run's last ``simulate_windows`` window.
     """
     for bit in (a, b, cin):
         if bit not in (0, 1):
             raise ValueError("pattern bits must be 0 or 1")
     cfg = cfg or SimConfig()
-    trace = simulate(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params=params)
+    trace = deque(simulate_windows(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params), maxlen=1)[0]
     verdicts = []
     for net, expected in zip(("SUM", "COUT"), adder_truth(a, b, cin)):
         got = read_binary(trace, net, cfg.horizon)

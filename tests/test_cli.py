@@ -118,11 +118,23 @@ def test_adder_applies_device_flags(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--dt", "0"], ["--dt", "nan"], ["--vox", "0.7"], ["--b", "nan"], ["--horizon", "nan"], ["--vred", "nan"],
+    # A step count past sys.maxsize, refused before any run starts.
+    ["--dt", "1e-17"], ["--dt", "1e-310"], ["--horizon", "1e308"],
 ])
 def test_bad_config_flag_is_a_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "trace.csv"
     assert main(["run", "--circuit", ADDER, "--stimulus", PATTERN_101, "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["adder"], ["characterize", "--gate", "MOR"]])
+@pytest.mark.parametrize("flags", [["--dt", "1e-17"], ["--dt", "1e-310"], ["--horizon", "1e308"]])
+def test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert main([*command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon / dt is ") and err.endswith(f" steps, more than {sys.maxsize}\n"), err
     assert not out.exists()
 
 
@@ -367,8 +379,10 @@ def _flag_values(finite):
                      st.floats(max_value=0.0, allow_nan=False))
 
 
-# ``--dt`` is never drawn below 0.05 ms, as a tiny step asks for an unbounded allocation.  With the
-# horizon at most 500 ms, no run asks for more than 10^4 steps.
+# ``--dt`` is never drawn below 0.05 ms, as a tiny step makes a run of unbounded time: every command streams
+# its run, so memory stays flat, but a valid dt of 1e-16 ms at 400 ms is 4e18 steps.  With the horizon at
+# most 500 ms, no run takes more than 10^4 steps.  A step count past ``sys.maxsize`` is refused before any
+# run starts, and ``test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command`` holds it.
 CONFIG_FLAGS = {
     "--dt": _flag_values(st.floats(0.05, 1e3)),
     "--horizon": _flag_values(st.floats(1e-3, 500.0)),

@@ -6,13 +6,19 @@ its columns into double arrays and checks that each is all numbers and that they
 """
 
 import math
+import sys
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from memlogic.device import ConfigError, DeviceParams, MemristorState, new_state
 from memlogic.engine import SimConfig, Trace
 from memlogic.gates import GateInstance, GateKind
+
+# A float subclass, such as ``numpy.float64``: arithmetic takes it, but no sidecar holds it.
+Millis = type("Millis", (float,), {})
 
 BAD_VALUES = [
     # SimConfig: every field finite, then one check per setting.
@@ -27,9 +33,21 @@ BAD_VALUES = [
     (lambda: SimConfig(dt=True), ConfigError, "dt must be a number, got True"),
     (lambda: SimConfig(horizon=True, dt=0.5), ConfigError, "horizon must be a number, got True"),
     (lambda: SimConfig(threshold_low=False), ConfigError, "threshold_low must be a number, got False"),
+    # Any other type that is not exactly int or float, before it reaches a sum or a sidecar.
+    (lambda: SimConfig(dt=Millis(1.0)), ConfigError, "dt must be an int or a float, not Millis"),
+    (lambda: SimConfig(dt=Fraction(1, 2)), ConfigError, "dt must be an int or a float, not Fraction"),
+    (lambda: SimConfig(dt="1"), ConfigError, "dt must be an int or a float, not str"),
+    (lambda: SimConfig(horizon=Decimal("0.5"), dt=0.5), ConfigError, "horizon must be an int or a float, not Decimal"),
+    (lambda: SimConfig(b=1 + 0j), ConfigError, "b must be an int or a float, not complex"),
+    (lambda: SimConfig(threshold_high=None), ConfigError, "threshold_high must be an int or a float, not NoneType"),
     (lambda: SimConfig(dt=0.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=-1.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=1.0, horizon=0.5), ConfigError, "horizon must cover at least one step"),
+    # A step count that ``range`` cannot hold, checked before any run starts.
+    (lambda: SimConfig(dt=1e-17), ConfigError, f"horizon / dt is 4e+19 steps, more than {sys.maxsize}"),
+    (lambda: SimConfig(dt=1e-310), ConfigError, f"horizon / dt is inf steps, more than {sys.maxsize}"),
+    (lambda: SimConfig(horizon=1e308), ConfigError, f"horizon / dt is 1e+308 steps, more than {sys.maxsize}"),
+    (lambda: SimConfig(horizon=2.0 ** 63), ConfigError, f"horizon / dt is 9.22337e+18 steps, more than {sys.maxsize}"),
     (lambda: SimConfig(b=0.0), ConfigError, "current-to-voltage constant must be positive"),
     (lambda: SimConfig(threshold_low=0.35, threshold_high=0.35), ConfigError,
      "threshold_low must lie below threshold_high"),
@@ -43,6 +61,11 @@ BAD_VALUES = [
     (lambda: DeviceParams(t1=True), ConfigError, "t1 must be a number, got True"),
     (lambda: DeviceParams(t2_dep=True), ConfigError, "t2_dep must be a number, got True"),
     (lambda: DeviceParams(a2=False), ConfigError, "a2 must be a number, got False"),
+    (lambda: DeviceParams(t1=Millis(30.0)), ConfigError, "t1 must be an int or a float, not Millis"),
+    (lambda: DeviceParams(t2_dep=Fraction(300)), ConfigError, "t2_dep must be an int or a float, not Fraction"),
+    (lambda: DeviceParams(c="4e-7"), ConfigError, "c must be an int or a float, not str"),
+    (lambda: DeviceParams(v_ox=Decimal("0.5")), ConfigError, "v_ox must be an int or a float, not Decimal"),
+    (lambda: DeviceParams(v_red=-0.1 + 0j), ConfigError, "v_red must be an int or a float, not complex"),
     # DeviceParams: then one check per setting.
     (lambda: DeviceParams(t1=0.0), ConfigError, "time constants must be positive"),
     (lambda: DeviceParams(t2=-1.0), ConfigError, "time constants must be positive"),
@@ -88,12 +111,20 @@ def test_bad_value_raises_its_error_and_message(make, error, message):
      "dt must be finite, got nan"),
     (lambda: SimConfig()._replace(v_logic1=True), ConfigError, "v_logic1 must be a number, got True"),
     (lambda: DeviceParams()._replace(v_red=False), ConfigError, "v_red must be a number, got False"),
+    (lambda: SimConfig()._replace(dt=Millis(0.5)), ConfigError, "dt must be an int or a float, not Millis"),
+    (lambda: SimConfig()._replace(dt=1e-17), ConfigError, f"horizon / dt is 4e+19 steps, more than {sys.maxsize}"),
 ])
 def test_derived_copies_are_checked_too(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_the_largest_step_count_below_sys_maxsize_is_accepted_without_running():
+    cfg = SimConfig(horizon=2.0 ** 63 - 1024)
+    assert cfg.steps == 2 ** 63 - 1024 <= sys.maxsize
+    assert len(range(cfg.steps)) == cfg.steps
 
 
 def test_replace_derives_a_checked_copy():

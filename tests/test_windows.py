@@ -1,17 +1,20 @@
 """The windowed run: ``write_trace(simulate_windows(...))`` against ``write_trace(simulate(...))``.
 
 ``memlogic run`` simulates and writes its trace one window of ``_WINDOW``
-records at a time.  The property shrinks the window to one or two CSV
-blocks, so every drawn run spans several windows, and requires the CSV
-and sidecar bytes to equal those written from the whole trace.  It draws
-dt from the oracle's grid, horizons that are not a whole number of
+records at a time, and ``memlogic adder`` reads its verdicts from the
+last window of each pattern's run.  The property shrinks the window to one
+or two CSV blocks, so every drawn run spans several windows, and requires
+the CSV and sidecar bytes to equal those written from the whole trace.  It
+draws dt from the oracle's grid, horizons that are not a whole number of
 windows, breakpoints off the step grid and near window edges, twin gates,
 trained start states, and ``-0.0`` and NaN levels.  The other tests hold
 the checks of a run to before any file is opened, a window's time lookups
-to its own records, and a run's peak memory to one window whatever the
-horizon.
+to its own records, the adder's verdicts to those read from the whole
+trace, and the peak memory of a run and of an adder pattern to a window or
+two whatever the horizon.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -22,12 +25,13 @@ from memlogic import engine
 from memlogic.cli import main
 from memlogic.device import MemristorState
 from memlogic.engine import SimConfig, Trace, read_binary, simulate, simulate_windows, write_trace
-from memlogic.harness import build_full_adder, fixture_dir, make_pattern_stimulus
+from memlogic.harness import Verdict, adder_truth, build_full_adder, fixture_dir, make_pattern_stimulus, run_pattern
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
 from test_engine_oracle import DT, FRACTION, PARAMS, VOLTS, netlists
 
 ADDER = str(fixture_dir() / "adder.mlc")
 FIXTURES = {"circuit": "input A\n", "stimulus": "format memlogic/1\n"}
+PATTERNS = [(a, b, cin) for a in (0, 1) for b in (0, 1) for cin in (0, 1)]
 
 
 def written(tmp_path, name, trace) -> tuple[bytes, bytes]:
@@ -182,4 +186,55 @@ def test_peak_memory_of_a_windowed_write_does_not_grow_with_the_horizon(tmp_path
     # 8000 and 16,000 records, 4 and 8 windows.  A whole trace of 16,000 records takes about twice the memory
     # of one of 8000.
     short, long = streamed_peak(tmp_path, 400.0), streamed_peak(tmp_path, 800.0)
+    assert long <= 1.1 * short, (short, long)
+
+
+def whole_trace_verdicts(bits, cfg: SimConfig) -> list[Verdict]:
+    """The verdicts of one adder pattern, read by ``read_binary`` and ``voltage_at`` from ``simulate``'s whole trace."""
+    trace = simulate(build_full_adder(), make_pattern_stimulus(*bits, cfg), cfg)
+    verdicts = []
+    for net, expected in zip(("SUM", "COUT"), adder_truth(*bits)):
+        got = read_binary(trace, net, cfg.horizon)
+        verdicts.append(Verdict("adder_%d%d%d" % bits, f"{net}@{cfg.horizon:g}ms == {expected}", got == expected,
+                                f"{got} ({trace.voltage_at(net, cfg.horizon):.4f} V)"))
+    return verdicts
+
+
+@pytest.mark.parametrize("bits", PATTERNS, ids=["%d%d%d" % bits for bits in PATTERNS])
+@pytest.mark.parametrize("dt", [0.1, 0.7])
+def test_run_pattern_reads_the_whole_trace_verdicts_from_its_last_window(bits, dt):
+    """At dt = 0.1 ms the run is 4000 records, two windows; at dt = 0.7 ms it is 571, one window, and ends
+    before the horizon."""
+    cfg = SimConfig(dt=dt)
+    trace, verdicts = run_pattern(*bits, cfg=cfg)
+    assert verdicts == whole_trace_verdicts(bits, cfg)
+    *_, last = simulate_windows(build_full_adder(), make_pattern_stimulus(*bits, cfg), cfg)
+    assert trace.records == last.records == (cfg.steps - 1) % engine._WINDOW + 1
+    assert (trace.config, trace.params) == (last.config, last.params)
+    assert {name: column.tobytes() for name, column in trace.columns.items()} == \
+        {name: column.tobytes() for name, column in last.columns.items()}
+
+
+def test_adder_report_at_a_fine_dt_is_the_one_read_from_whole_traces(tmp_path, capsys):
+    out = tmp_path / "verdicts.json"
+    code = main(["adder", "--dt", "0.1", "--out", str(out)])
+    report = [v.as_dict() for bits in PATTERNS for v in whole_trace_verdicts(bits, SimConfig(dt=0.1))]
+    assert code == (0 if all(entry["pass"] for entry in report) else 1)
+    assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def run_pattern_peak(horizon: float) -> int:
+    """The ``tracemalloc`` peak of ``run_pattern`` on pattern 101 at dt = 0.05 ms."""
+    cfg = SimConfig(dt=0.05, horizon=horizon)
+    tracemalloc.start()
+    try:
+        run_pattern(1, 0, 1, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_an_adder_pattern_does_not_grow_with_the_horizon():
+    # 8000 and 16,000 records, 4 and 8 windows, of which at most two are live at a time.
+    short, long = run_pattern_peak(400.0), run_pattern_peak(800.0)
     assert long <= 1.1 * short, (short, long)
