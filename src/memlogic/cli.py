@@ -20,7 +20,7 @@ from .engine import SimConfig, _write_json, simulate_windows, write_trace
 # ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
 from .engine import simulate  # noqa: F401
 from .gates import GateKind
-from .harness import default_characterization_schedule, gate_circuit, run_pattern
+from .harness import _read, default_characterization_schedule, gate_circuit, run_pattern
 from .netlist import CircuitGraph, NetlistError, Stimulus, check_drives, parse_circuit, parse_stimulus
 
 
@@ -46,11 +46,6 @@ def _config_from(args: argparse.Namespace) -> tuple[SimConfig, DeviceParams]:
         print(f"warning: horizon {cfg.horizon:g} ms is not a whole number of {cfg.dt:g} ms steps; "
               f"the last record is at {end:g} ms", file=sys.stderr)
     return cfg, params
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _write_run(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: DeviceParams, out: str,

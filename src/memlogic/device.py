@@ -30,7 +30,11 @@ def _check_numbers(fields) -> None:
         if type(value) not in (int, float):
             raise ConfigError(f"{name} must be a number, got {value}" if type(value) is bool
                               else f"{name} must be an int or a float, not {type(value).__name__}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past float range, whose digits are too many to print
+            raise ConfigError(f"{name} must fit in a float, got an int of {value.bit_length()} bits") from None
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
@@ -52,9 +56,9 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.t1_dep is None or self.t2_dep is None:
-            return self._replace(t1_dep=self.t1 if self.t1_dep is None else self.t1_dep,
-                                 t2_dep=self.t2 if self.t2_dep is None else self.t2_dep)
+        if self.t1_dep is None or self.t2_dep is None:  # filled once, so a None t1 or t2 cannot recurse
+            self = super().__new__(cls, *self[:-2], self.t1 if self.t1_dep is None else self.t1_dep,
+                                   self.t2 if self.t2_dep is None else self.t2_dep)
         _check_numbers(self)
         if min(self.t1, self.t2, self.t1_dep, self.t2_dep) <= 0:
             raise ConfigError("time constants must be positive")
@@ -64,7 +68,7 @@ class DeviceParams(namedtuple("DeviceParams", "a1 a2 t1 t2 c v_ox v_red v_ref t1
             raise ConfigError("saturation current must be positive")
         if self.a1 > 0 or self.a2 > 0:
             raise ConfigError("exponential amplitudes must be non-positive")
-        if self.a1 + self.a2 + self.c < 0:
+        if float(self.a1) + self.a2 + self.c < 0:  # summed in floats, as the model sums it, so two ints cannot overflow
             raise ConfigError("fresh-state current would be negative")
         if not self.v_ref > self.v_ox:
             raise ConfigError("reference bias must exceed the oxidation potential")

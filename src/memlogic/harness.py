@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from collections import deque, namedtuple
-from pathlib import Path
 
 from .device import ConfigError, DeviceParams
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
@@ -17,16 +16,20 @@ from .gates import GateKind
 from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"
-_PACKAGE_FIXTURES = Path(__file__).parent / "fixtures"
+_PACKAGE_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def fixture_dir() -> Path:
-    override = os.environ.get(_FIXTURE_ENV)
-    return Path(override) if override else _PACKAGE_FIXTURES
+def fixture_dir() -> str:
+    return os.environ.get(_FIXTURE_ENV) or _PACKAGE_FIXTURES
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def fixture_text(name: str) -> str:
-    return (fixture_dir() / name).read_text(encoding="utf-8")
+    return _read(os.path.join(fixture_dir(), name))
 
 
 def build_full_adder() -> CircuitGraph:

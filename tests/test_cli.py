@@ -22,8 +22,8 @@ from memlogic.harness import default_characterization_schedule, fixture_dir, gat
 from memlogic.netlist import parse_stimulus
 
 
-ADDER = str(fixture_dir() / "adder.mlc")
-PATTERN_101 = str(fixture_dir() / "pattern_101.mls")
+ADDER = os.path.join(fixture_dir(), "adder.mlc")
+PATTERN_101 = os.path.join(fixture_dir(), "pattern_101.mls")
 
 
 def test_run_writes_csv_and_sidecar(tmp_path, capsys):
@@ -340,6 +340,15 @@ def test_cli_import_and_check_load_no_heavy_modules():
     assert code == "0"
     assert "memlogic.cli" in loaded
     assert HEAVY_IMPORTS.isdisjoint(loaded), sorted(HEAVY_IMPORTS.intersection(loaded))
+
+
+def test_cli_import_in_a_bare_interpreter_leaves_pathlib_out():
+    """Under ``python -S`` no ``site`` hook preloads ``pathlib``, so this sees what ``memlogic.cli`` itself imports."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", "import sys, memlogic.cli; print('pathlib' in sys.modules)"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.split() == ["False"]
 
 
 # ``_hashlib`` maps OpenSSL's libcrypto, which raised a run's peak RSS by 3 MB.

@@ -10,6 +10,7 @@ from memlogic.harness import (
     adder_truth,
     build_full_adder,
     default_characterization_schedule,
+    fixture_dir,
     fixture_text,
     gate_circuit,
     make_pattern_stimulus,
@@ -37,11 +38,18 @@ class TestAdderGraph:
         assert make_pattern_stimulus(1, 0, 1, CFG) == parse_stimulus(fixture_text("pattern_101.mls"))
 
     def test_fixture_dir_env_override(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MEMLOGIC_FIXTURES", raising=False)
+        package = fixture_dir()
         (tmp_path / "adder.mlc").write_text("input A\ninput B\ngate 1 MOR A B\noutput SUM 1\n")
         monkeypatch.setenv("MEMLOGIC_FIXTURES", str(tmp_path))
+        assert fixture_dir() == str(tmp_path)
         graph = build_full_adder()
         assert len(graph.nodes) == 1
         assert graph.probes == {"SUM": 1}
+        # An empty override falls back to the package's own fixtures.
+        monkeypatch.setenv("MEMLOGIC_FIXTURES", "")
+        assert fixture_dir() == package
+        assert len(build_full_adder().nodes) == 12
 
 
 class TestReferencePatterns:

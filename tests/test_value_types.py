@@ -12,10 +12,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from memlogic.device import ConfigError, DeviceParams, MemristorState, new_state
+from memlogic.device import ConfigError, DeviceParams, MemristorState, model_current, new_state
 from memlogic.engine import SimConfig, Trace
-from memlogic.gates import GateInstance, GateKind
+from memlogic.gates import R2, V_CON, GateInstance, GateKind
 
 # A float subclass, such as ``numpy.float64``: arithmetic takes it, but no sidecar holds it.
 Millis = type("Millis", (float,), {})
@@ -40,6 +41,9 @@ BAD_VALUES = [
     (lambda: SimConfig(horizon=Decimal("0.5"), dt=0.5), ConfigError, "horizon must be an int or a float, not Decimal"),
     (lambda: SimConfig(b=1 + 0j), ConfigError, "b must be an int or a float, not complex"),
     (lambda: SimConfig(threshold_high=None), ConfigError, "threshold_high must be an int or a float, not NoneType"),
+    # An int past float range: ``math.isfinite`` cannot convert it, and its digits are too many to print.
+    (lambda: SimConfig(horizon=10**400), ConfigError, "horizon must fit in a float, got an int of 1329 bits"),
+    (lambda: SimConfig()._replace(dt=10**400), ConfigError, "dt must fit in a float, got an int of 1329 bits"),
     (lambda: SimConfig(dt=0.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=-1.0), ConfigError, "dt must be positive"),
     (lambda: SimConfig(dt=1.0, horizon=0.5), ConfigError, "horizon must cover at least one step"),
@@ -66,6 +70,11 @@ BAD_VALUES = [
     (lambda: DeviceParams(c="4e-7"), ConfigError, "c must be an int or a float, not str"),
     (lambda: DeviceParams(v_ox=Decimal("0.5")), ConfigError, "v_ox must be an int or a float, not Decimal"),
     (lambda: DeviceParams(v_red=-0.1 + 0j), ConfigError, "v_red must be an int or a float, not complex"),
+    # A ``None`` t1 or t2 is not a default to fill t1_dep or t2_dep from.
+    (lambda: DeviceParams(t1=None), ConfigError, "t1 must be an int or a float, not NoneType"),
+    (lambda: DeviceParams(t2=None, t2_dep=None), ConfigError, "t2 must be an int or a float, not NoneType"),
+    (lambda: DeviceParams(t1=10**400), ConfigError, "t1 must fit in a float, got an int of 1329 bits"),
+    (lambda: DeviceParams(c=-10**400), ConfigError, "c must fit in a float, got an int of 1329 bits"),
     # DeviceParams: then one check per setting.
     (lambda: DeviceParams(t1=0.0), ConfigError, "time constants must be positive"),
     (lambda: DeviceParams(t2=-1.0), ConfigError, "time constants must be positive"),
@@ -76,6 +85,8 @@ BAD_VALUES = [
     (lambda: DeviceParams(a1=1e-9), ConfigError, "exponential amplitudes must be non-positive"),
     (lambda: DeviceParams(a2=1e-9), ConfigError, "exponential amplitudes must be non-positive"),
     (lambda: DeviceParams(a2=-2e-7), ConfigError, "fresh-state current would be negative"),
+    # Two ints that each fit in a float, but whose sum does not.
+    (lambda: DeviceParams(a1=-10**308, a2=-10**308, c=1e308), ConfigError, "fresh-state current would be negative"),
     (lambda: DeviceParams(v_ref=0.5), ConfigError, "reference bias must exceed the oxidation potential"),
     # MemristorState: both coordinates in [0, 1].
     (lambda: MemristorState(1.5, 0.5), ValueError, "relaxation coordinates out of [0, 1]: (1.5, 0.5)"),
@@ -125,6 +136,64 @@ def test_the_largest_step_count_below_sys_maxsize_is_accepted_without_running():
     cfg = SimConfig(horizon=2.0 ** 63 - 1024)
     assert cfg.steps == 2 ** 63 - 1024 <= sys.maxsize
     assert len(range(cfg.steps)) == cfg.steps
+
+
+# Every kind of number a settings field can be handed: ints past float range, and floats with NaN, the infinities,
+# subnormals and -0.0 among them.  ``ANY_VALUE`` adds each type that is not exactly an int or a float.
+NUMBERS = st.one_of(
+    st.integers(),
+    st.sampled_from([10**400, -10**400, 2**1024, -2**1024, int(sys.float_info.max), 10**308, -10**308]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max]),
+)
+ANY_VALUE = st.one_of(NUMBERS, st.booleans(), st.floats().map(Millis), st.fractions(), st.decimals(),
+                      st.text(max_size=4), st.none())
+
+
+def assert_documented_checks_hold(value):
+    """The checks ``SimConfig`` and ``DeviceParams`` document, restated on a value that was built."""
+    for name, field in zip(value._fields, value):
+        assert type(field) in (int, float) and math.isfinite(float(field)), (name, field)
+    if isinstance(value, SimConfig):
+        assert value.dt > 0 and value.horizon >= value.dt and value.b > 0
+        assert value.threshold_low < value.threshold_high
+        assert 1 <= value.steps <= sys.maxsize
+    else:
+        assert min(value.t1, value.t2, value.t1_dep, value.t2_dep) > 0 and value.c > 0
+        assert value.v_red < value.v_ox < value.v_ref
+        assert value.a1 <= 0 and value.a2 <= 0 and model_current(new_state(), value) >= 0
+
+
+@pytest.mark.parametrize("cls, field", [(cls, field) for cls in (SimConfig, DeviceParams) for field in cls._fields])
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_field_value_builds_a_checked_value_or_is_a_config_error(cls, field, data):
+    """Any value for ``field``, with numbers for some other fields so draws reach the later checks, through the
+    constructor or ``_replace``: the value built passes every documented check, or the draw is a ``ConfigError``."""
+    others = {name: NUMBERS for name in cls._fields if name != field}
+    values = data.draw(st.fixed_dictionaries({field: ANY_VALUE}, optional=others), label="values")
+    via_replace = data.draw(st.booleans(), label="via _replace")
+    try:
+        value = cls()._replace(**values) if via_replace else cls(**values)
+    except ConfigError:
+        return
+    assert_documented_checks_hold(value)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@settings(deadline=None)
+@given(values=st.fixed_dictionaries({}, optional={name: NUMBERS for name in DeviceParams._fields}))
+@example(values={})
+@example(values={"a1": -0.0, "a2": 0, "c": 5e-324, "v_ref": 1e308})
+@example(values={"v_ref": 10**308, "c": 1})
+def test_any_params_build_a_checked_gate_or_are_a_config_error(kind, values):
+    try:
+        gate = GateInstance(kind, DeviceParams(**values))
+    except ConfigError:
+        return
+    assert_documented_checks_hold(gate.params)
+    if kind is GateKind.MNOT:
+        assert gate.params.v_ref / gate.params.c < R2 and V_CON < gate.params.v_ox
 
 
 def test_replace_derives_a_checked_copy():

@@ -16,6 +16,7 @@ two whatever the horizon.
 
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from memlogic.harness import Verdict, adder_truth, build_full_adder, fixture_dir
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
 from test_engine_oracle import DT, FRACTION, PARAMS, VOLTS, netlists
 
-ADDER = str(fixture_dir() / "adder.mlc")
+ADDER = os.path.join(fixture_dir(), "adder.mlc")
 FIXTURES = {"circuit": "input A\n", "stimulus": "format memlogic/1\n"}
 PATTERNS = [(a, b, cin) for a in (0, 1) for b in (0, 1) for cin in (0, 1)]
 
