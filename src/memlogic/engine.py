@@ -51,12 +51,11 @@ ONSET_MS = 100.0
 # Records per CSV block.  Each block rebuilds its row template, which for a wide table
 # (ripple32: 1635 columns) costs more than it saves below about 256 rows.
 _CSV_BLOCK = 256
-# Bytes of CSV text a chunk holds before the next record starts a new one.  A whole block of a wide
-# table (ripple32: 25 kB a record, 6.4 MB a block) would raise peak memory; far smaller chunks cost a
-# write call each.
+# Bytes of the CSV file's write buffer, which batches records into writes.  A whole block of a wide table
+# (ripple32: 25 kB a record, 6.4 MB a block) would raise peak memory; a far smaller buffer costs more write calls.
 _CSV_CHUNK = 1 << 16
 # Records per window of ``simulate_windows``, in whole CSV blocks.  ``memlogic run`` at dt = 0.01 ms peaks at
-# 18.9 MB RSS with it, against 34.4 MB holding the whole trace; smaller windows save little and cost more windows.
+# 15.5 MB RSS with it, against 33.1 MB holding the whole trace; smaller windows save little and cost more windows.
 _WINDOW = 8 * _CSV_BLOCK
 
 
@@ -108,7 +107,7 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     A series that is not all numbers, or not as long as the first, is a ``ValueError``.
     ``params`` is the ``DeviceParams`` the run used, which ``simulate`` sets; a
     hand-built trace has none, and its sidecar records ``null``.  :meth:`csv_chunks`
-    is the one CSV renderer: UTF-8 bytes, in chunks of whole records.
+    is the one CSV renderer: UTF-8 bytes, one record an item.
     """
 
     __slots__ = ()
@@ -158,12 +157,12 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
         return list(self.columns)
 
     def csv_chunks(self):
-        """Yield the CSV as UTF-8 bytes: the header, then the records in chunks of whole records.
+        """Yield the CSV as UTF-8 bytes: the header, then each record as its own item.
 
         Values are in 9-significant-digit scientific notation; ``b"%.8e"``
         renders a float as the ASCII of ``f"{v:.8e}"``.  Records are rendered
-        in blocks of ``_CSV_BLOCK``, and a chunk ends at its block's end or at
-        the first record end at or past ``_CSV_CHUNK`` bytes.  A column whose
+        in blocks of ``_CSV_BLOCK``, and no block's text is joined: the
+        writer's file buffer batches the records.  A column whose
         doubles are bit-identical across a block has its text baked into the
         block's row template.  A varying block that two or more columns hold is
         formatted once, with one ``%``, and split into cells that each of them
@@ -186,23 +185,16 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
             shared = {k for i, k in varies if i != k}  # the leads of blocks that two or more columns hold
             template = b",".join(b"%.8e" % c[a] if k is None else b"%b" if k in shared else b"%.8e"
                                  for k, c in zip(lead, columns)) + b"\n"
-            # One ``%`` per record, appended to a chunk begun after the block's temporaries: a chunk carried
-            # across blocks raised fine_dt's peak memory.  zip() of no columns gives no rows, so a block with
-            # every column constant repeats its template.
-            chunk = bytearray()
-            # A shared block is formatted a quarter block at a time, with one ``%``, and split into its cells:
-            # a whole block's cells raised adder8's peak memory.
+            # A shared block is formatted a quarter block at a time, with one ``%``, and split into its cells: made
+            # per whole block, its cells raised ripple32's child peak RSS from 19.99 to 20.37 MB.
             step = _CSV_BLOCK // 4 if shared else _CSV_BLOCK
             for s in range(a, b, step):
                 e = min(s + step, b)
                 texts = {j: (b",".join([b"%.8e"] * (e - s)) % tuple(columns[j][s:e])).split(b",") for j in shared}
                 varying = [texts.get(k) or columns[i][s:e] for i, k in varies]
-                for row in map(template.__mod__, zip(*varying)) if varying else [template] * (e - s):
-                    if len(chunk) >= _CSV_CHUNK:
-                        yield chunk
-                        chunk = bytearray()
-                    chunk += row
-            yield chunk
+                # One ``%`` per record, yielded as it is made.  zip() of no columns gives no rows, so a block with
+                # every column constant repeats its template.
+                yield from map(template.__mod__, zip(*varying)) if varying else [template] * (e - s)
 
     def to_csv(self) -> str:
         """Render the trace as CSV text, values in 9-significant-digit scientific notation."""
@@ -420,7 +412,7 @@ def _write_json(path: str, value) -> None:
 
 
 def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = None) -> None:
-    """Write the CSV trace to a binary file, one chunk of whole records a write, and its JSON metadata sidecar.
+    """Write the CSV trace to a binary file through a ``_CSV_CHUNK``-byte buffer, and its JSON metadata sidecar.
 
     ``trace`` is a ``Trace`` or an iterator of consecutive ones, such as :func:`simulate_windows` returns,
     written under one header and counted in one sidecar; each is dropped once written.  An iterator of none is
@@ -434,7 +426,7 @@ def write_trace(trace, csv_path: str, fixture_texts: dict[str, str] | None = Non
     # maps OpenSSL's libcrypto, nor ``json``: without them adder8's peak RSS fell from 18.10 to 15.43 MB.
     meta = window.metadata(fixture_texts)
     meta["records"] = 0  # counted below, over every trace
-    with open(csv_path, "wb") as fh:
+    with open(csv_path, "wb", buffering=_CSV_CHUNK) as fh:
         fh.write(next(window.csv_chunks()))  # the header; each trace's own is skipped below
         while window is not None:
             fh.writelines(islice(window.csv_chunks(), 1, None))

@@ -1,9 +1,10 @@
 """The block CSV renderer against the plain one-template renderer it replaced.
 
-``Trace.csv_chunks`` renders the CSV as UTF-8 bytes, in chunks of whole
-records.  It bakes the text of each column that is bit-constant over a
-block of records into that block's row template, and formats a varying
-block that two or more columns hold once, sharing its text among them.
+``Trace.csv_chunks`` renders the CSV as UTF-8 bytes: the header, then
+one item per record.  It bakes the text of each column that is
+bit-constant over a block of records into that block's row template, and
+formats a varying block that two or more columns hold once, sharing its
+text among them.
 ``plain_csv_lines`` formats every cell of every record as text with one
 template; it is the reference the properties hold the block renderer to,
 byte for byte and line for line.  They draw held and varying blocks, and
@@ -20,7 +21,7 @@ from itertools import cycle, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.engine import _CSV_CHUNK, SimConfig, Trace, write_trace
+from memlogic.engine import SimConfig, Trace, write_trace
 
 
 def plain_csv_lines(trace: Trace):
@@ -37,13 +38,14 @@ def plain_csv(trace: Trace) -> bytes:
 def assert_renders_as_plain(trace: Trace) -> list[bytes]:
     """The block renderer's bytes equal the plain renderer's, line for line; returns its chunks.
 
-    Each chunk ends on a record, and its text before that record is under ``_CSV_CHUNK`` bytes.
+    The first chunk is the header, and every chunk after it is one record: it holds one ``b"\\n"``, at its end.
     """
     chunks = list(trace.csv_chunks())
     assert b"".join(chunks).split(b"\n") == plain_csv(trace).split(b"\n")
-    for chunk in chunks:
+    assert chunks[0] == next(plain_csv_lines(trace)).encode()
+    for chunk in chunks[1:]:
         assert chunk.endswith(b"\n")
-        assert chunk.rfind(b"\n", 0, -1) + 1 < _CSV_CHUNK
+        assert chunk.count(b"\n") == 1
     return chunks
 
 
@@ -156,23 +158,29 @@ def test_table_without_records_renders_only_its_header(columns):
     assert chunks == [(",".join(columns) + "\n").encode()]
 
 
-def test_wide_blocks_are_cut_into_chunks_of_whole_records():
-    """40 columns make a block of about 150 kB: a held block and a varying one each fill several chunks."""
+def assert_writes_one_record_per_chunk(trace: Trace, path: str):
+    """The header, then one chunk per record; ``write_trace`` writes the bytes of ``to_csv()``."""
+    chunks = assert_renders_as_plain(trace)
+    assert len(chunks) == 1 + trace.records
+    write_trace(trace, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == trace.to_csv().encode()
+
+
+def test_wide_blocks_are_rendered_one_record_per_chunk(tmp_path):
+    """40 columns make a block of about 150 kB: a held block and a varying one are each one chunk per record."""
     times = [1.0] * BLOCK + [float(k) for k in range(BLOCK + 10)]
     columns = {"t_ms": array("d", times), **{f"c{i}": [v / i for v in times] for i in range(1, 40)}}
-    chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
-    # The header, three chunks for each whole block, one for the last 10 records.
-    assert [len(c) >= _CSV_CHUNK for c in chunks] == [False, True, True, False, True, True, False, False]
+    assert_writes_one_record_per_chunk(Trace(SimConfig(), columns), str(tmp_path / "wide.csv"))
 
 
-def test_wide_blocks_of_shared_text_are_cut_into_chunks_of_whole_records():
+def test_wide_blocks_of_shared_text_are_rendered_one_record_per_chunk(tmp_path):
     """As above, but 39 of the 40 columns hold one of three series, as the same array or as an equal list."""
     times = [1.0] * BLOCK + [float(k) for k in range(BLOCK + 10)]
     series = [array("d", [v / i for v in times]) for i in (1, 3, 7)]
     columns = {"t_ms": array("d", times), **{f"c{i}": series[i % 3] if i % 2 else list(series[i % 3])
                                              for i in range(1, 40)}}
-    chunks = assert_renders_as_plain(Trace(SimConfig(), columns))
-    assert [len(c) >= _CSV_CHUNK for c in chunks] == [False, True, True, False, True, True, False, False]
+    assert_writes_one_record_per_chunk(Trace(SimConfig(), columns), str(tmp_path / "wide_shared.csv"))
 
 
 @given(st.one_of(st.floats(), st.sampled_from(SPECIALS), st.integers(0, 2**64 - 1).map(_double)))
