@@ -372,7 +372,10 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     Walks back from the last record and stops at the first one before the
     input onset or not reading ``level``; returns None if the last record
     does not qualify.  Records are in ascending time, so this is the start
-    of the final run of ``level`` at or after the onset.
+    of the final run of ``level`` at or after the onset.  Raises
+    ``ValueError`` if the walk reaches the first record of a trace that
+    starts after the run's first step, such as a later window: the run may
+    have settled before it.
     """
     cfg = trace.config
     column, times = trace.column(net), trace.times
@@ -382,6 +385,10 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
         if t < onset_ms or classify(column[k], cfg) != level:
             break
         settled = t
+    else:
+        if times and int(round(times[0] / cfg.dt)) != 1:
+            raise ValueError(f"{net} reads {level!r} from the trace's first record at {times[0]:g} ms, after the "
+                             "run's first step, so its settle time may lie before the trace")
     return settled
 
 

@@ -88,7 +88,7 @@ def test_adder_command_passes_and_reports(tmp_path, capsys):
     assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
     payload = json.loads(report.read_text())
     assert len(payload) == 16
-    assert all(entry["pass"] for entry in payload)
+    assert all(entry["pass"] is True for entry in payload)
 
 
 @pytest.mark.parametrize("flags", [[], ["--vox", "0.45"]])
@@ -148,6 +148,14 @@ def test_vox_that_lets_an_mnot_source_potentiate_is_a_usage_error(tmp_path, caps
     assert main(["adder", "--vox", "0.25", "--out", str(report)]) == 2
     assert capsys.readouterr().err.startswith("error: MNOT constant source")
     assert not report.exists()
+
+
+def test_vox_that_lets_the_characterized_mnot_source_potentiate_is_a_usage_error(tmp_path, capsys):
+    # At --vox 0.3 the 0.3 V constant source is no longer below the oxidation potential.
+    assert main(["characterize", "--gate", "MNOT", "--vox", "0.3", "--out", str(tmp_path / "MNOT.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MNOT constant source") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []  # neither a CSV nor a sidecar
 
 
 def test_characterize_gate_without_mnot_accepts_low_vox(tmp_path):
@@ -388,12 +396,17 @@ def _flag_values(finite):
                      st.floats(max_value=0.0, allow_nan=False))
 
 
-# ``--dt`` is never drawn below 0.05 ms, as a tiny step makes a run of unbounded time: every command streams
-# its run, so memory stays flat, but a valid dt of 1e-16 ms at 400 ms is 4e18 steps.  With the horizon at
-# most 500 ms, no run takes more than 10^4 steps.  A step count past ``sys.maxsize`` is refused before any
-# run starts, and ``test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command`` holds it.
+# ``--dt`` is drawn after ``--horizon``, and never below 0.005 ms, as a tiny step makes a run of unbounded
+# time: every command streams its run, so memory stays flat, but a valid dt of 1e-16 ms at 400 ms is 4e18
+# steps.  It goes below 0.05 ms only at a horizon of at most 150 ms, so no run takes more than 30,000 steps
+# (10^4 at a horizon of up to 500 ms, 8,000 at the default 400 ms).  A step count past ``sys.maxsize`` is
+# refused before any run starts, and ``test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command``
+# holds it.
+def _dt_values(horizon):
+    return _flag_values(st.floats(0.005 if horizon <= 150.0 else 0.05, 1e3))
+
+
 CONFIG_FLAGS = {
-    "--dt": _flag_values(st.floats(0.05, 1e3)),
     "--horizon": _flag_values(st.floats(1e-3, 500.0)),
     "--b": _flag_values(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
     "--vox": _flag_values(st.floats(allow_nan=False, allow_infinity=False)),
@@ -408,9 +421,13 @@ CONFIG_FLAGS = {
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_any_config_flag_values_exit_with_a_code_not_a_traceback(command, data):
-    flags = data.draw(st.lists(st.sampled_from(sorted(CONFIG_FLAGS)), unique=True, max_size=5), label="flags")
+    flags = data.draw(st.lists(st.sampled_from(sorted([*CONFIG_FLAGS, "--dt"])), unique=True, max_size=5),
+                      label="flags")
+    values = {flag: data.draw(CONFIG_FLAGS[flag], label=flag) for flag in flags if flag != "--dt"}
+    if "--dt" in flags:
+        values["--dt"] = data.draw(_dt_values(values.get("--horizon", SimConfig().horizon)), label="--dt")
     # ``--flag=value``, as argparse would take a separate ``-inf`` for an option.
-    argv = command + [f"{flag}={data.draw(CONFIG_FLAGS[flag], label=flag)!r}" for flag in flags]
+    argv = command + [f"{flag}={values[flag]!r}" for flag in flags]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv if command == ["adder"] else [*argv, "--out", os.path.join(tmp, "out.csv")])

@@ -517,12 +517,21 @@ def test_backward_settle_time_matches_forward_scan(data):
     pieces = data.draw(st.lists(st.tuples(value, st.integers(1, 8)), max_size=6), label="runs")
     values = [v for v, n in pieces for _ in range(n)]
     n = len(values)
-    # Records sit at t = 1..n: onsets before, on, between and after them.
-    onset = data.draw(st.one_of(st.sampled_from([-1.0, 0.0, n + 0.5, n + 1.0, 1e9]),
-                                st.integers(1, max(n, 1)).map(float),
-                                st.integers(1, max(n, 1)).map(lambda k: k + 0.5)), label="onset")
+    # The trace is the whole run, or a later window of it that starts at step ``first``.
+    first = data.draw(st.one_of(st.just(1), st.integers(2, 50)), label="first")
+    end = first + n - 1
+    # Records sit at t = first..end: onsets before, on, between and after them.
+    onset = data.draw(st.one_of(st.sampled_from([-1.0, 0.0, end + 0.5, end + 1.0, 1e9]),
+                                st.integers(first, max(end, first)).map(float),
+                                st.integers(first, max(end, first)).map(lambda k: k + 0.5)), label="onset")
     level = data.draw(st.sampled_from([0, 1, AMBIGUOUS]), label="level")
-    trace = Trace(SimConfig(), {"t_ms": array("d", [float(k + 1) for k in range(n)]), "NET": array("d", values)})
-    got = settle_time(trace, "NET", level, onset_ms=onset)
+    times = [float(first + k) for k in range(n)]
+    trace = Trace(SimConfig(), {"t_ms": array("d", times), "NET": array("d", values)})
     want = forward_settle_time(trace, "NET", level, onset_ms=onset)
-    assert got == want and type(got) is type(want)
+    if first > 1 and want is not None and want == times[0]:
+        # The net reads ``level`` from the window's first record on, so the run may have settled before it.
+        with pytest.raises(ValueError, match=rf"^NET reads .* first record at {first} ms"):
+            settle_time(trace, "NET", level, onset_ms=onset)
+    else:
+        got = settle_time(trace, "NET", level, onset_ms=onset)
+        assert got == want and type(got) is type(want)

@@ -10,8 +10,8 @@ windows, breakpoints off the step grid and near window edges, twin gates,
 trained start states, and ``-0.0`` and NaN levels.  The other tests hold
 the checks of a run to before any file is opened, a window's time lookups
 to its own records, the adder's verdicts to those read from the whole
-trace, and the peak memory of a run and of an adder pattern to a window or
-two whatever the horizon.
+trace, a settle time to the window that holds it, and the peak memory of
+a run and of an adder pattern to a window or two whatever the horizon.
 """
 
 import json
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from memlogic import engine
 from memlogic.cli import main
 from memlogic.device import MemristorState
-from memlogic.engine import SimConfig, Trace, read_binary, simulate, simulate_windows, write_trace
+from memlogic.engine import SimConfig, Trace, read_binary, settle_time, simulate, simulate_windows, write_trace
 from memlogic.harness import Verdict, adder_truth, build_full_adder, fixture_dir, make_pattern_stimulus, run_pattern
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
 from test_engine_oracle import DT, FRACTION, PARAMS, VOLTS, netlists
@@ -214,6 +214,16 @@ def test_run_pattern_reads_the_whole_trace_verdicts_from_its_last_window(bits, d
     assert (trace.config, trace.params) == (last.config, last.params)
     assert {name: column.tobytes() for name, column in trace.columns.items()} == \
         {name: column.tobytes() for name, column in last.columns.items()}
+
+
+def test_settle_time_before_the_last_window_is_an_error_not_its_first_stamp():
+    """At dt = 0.01 ms the last window of pattern 101 starts at 389.13 ms, after COUT settles at 381.46 ms."""
+    cfg = SimConfig(dt=0.01)
+    window, _ = run_pattern(1, 0, 1, cfg=cfg)
+    with pytest.raises(ValueError, match=r"^COUT reads 1 from the trace's first record at 389\.13 ms"):
+        settle_time(window, "COUT", 1)
+    whole = simulate(build_full_adder(), make_pattern_stimulus(1, 0, 1, cfg), cfg)
+    assert settle_time(whole, "COUT", 1) == pytest.approx(381.46)
 
 
 def test_adder_report_at_a_fine_dt_is_the_one_read_from_whole_traces(tmp_path, capsys):
