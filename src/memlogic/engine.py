@@ -222,17 +222,13 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
 def _sample(stimulus: Stimulus, name: str, dt: float, steps: int) -> list[tuple[int, int, float]]:
     """A terminal's runs over the steps ``k`` of time ``k * dt``: ``(lo, hi, volts)``, in order, tiling every step.
 
-    Each segment, in time order, fills the steps from the first unfilled one, ``lo``, up to its end, ``hi``,
-    and a fill that is not empty is the run ``(lo, hi, volts)``.  The segments before it end at or before those
-    times, so each time gets the first segment that covers it.  A first unfilled time that the next segment starts
-    after is covered by none: ``CoverageError`` naming that time, the message ``Stimulus`` gives for one lookup.
+    Each segment fills the steps from the first unfilled one, ``lo``, up to its end, ``hi``; a fill that is not empty is
+    a run.  A step left unfilled, which only float rounding of ``steps * dt`` could leave, is a ``CoverageError``.
     ``bisect_left`` reads the step times from ``range(steps)``, so no list of them is built.
     """
     segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
     runs, lo = [], 0
     for seg in segs:
-        if lo == steps or not seg.start <= lo * dt:  # a NaN start covers no time
-            break
         hi = bisect_left(range(steps), seg.end, lo, key=lambda k: k * dt)
         if lo < hi:
             runs.append((lo, hi, seg.volts))
@@ -273,8 +269,7 @@ def _windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: De
     states = states or {}
     check_drives(graph, stimulus)
     if stimulus.horizon_ms < cfg.horizon:
-        raise CoverageError(
-            f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
+        raise CoverageError(f"stimulus covers {stimulus.horizon_ms} ms but the run needs {cfg.horizon} ms")
     nodes = {node.id: node for node in graph.nodes}
     for gate_id in states:
         if gate_id not in nodes:

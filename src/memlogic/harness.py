@@ -13,7 +13,7 @@ from collections import deque, namedtuple
 from .device import ConfigError, DeviceParams
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
 from .gates import GateKind
-from .netlist import CircuitGraph, Stimulus, parse_circuit, parse_stimulus
+from .netlist import CircuitGraph, NetlistSyntaxError, Stimulus, parse_circuit, parse_stimulus
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"
 _PACKAGE_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -25,7 +25,11 @@ def fixture_dir() -> str:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; its lines count as ``_lines`` counts them
+            raise NetlistSyntaxError(f"{path!r} is not UTF-8: {exc.reason}",
+                                     len((exc.object[:exc.start].decode() + ".").splitlines())) from None
 
 
 def fixture_text(name: str) -> str:

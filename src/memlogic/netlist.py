@@ -107,33 +107,55 @@ class CircuitGraph(namedtuple("CircuitGraph", "nodes inputs outputs")):
 Segment = namedtuple("Segment", "start end volts")
 
 
-class Stimulus(namedtuple("Stimulus", "segments horizon_ms")):
-    """Piecewise-constant input waveforms covering [0, horizon_ms].
+class Stimulus(namedtuple("Stimulus", "segments")):
+    """Piecewise-constant input waveforms: one level per terminal at each instant of [0, horizon_ms].
 
-    ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per
-    terminal, the segments in time order (ascending ``start``), as
-    ``parse_stimulus`` leaves them.  ``simulate`` samples them in that order,
-    so a segment out of order is a ``CoverageError`` there even where
-    ``value_at`` would find it.
+    ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per terminal.  Construction, ``_replace``
+    included, sorts each terminal's segments by start and checks that they tile [0, horizon_ms]: the first starts at 0,
+    each next one where the one before ends, and every terminal ends at the horizon, the largest end.  An overlap is an
+    ``OverlapError``; a gap, a NaN time or an end off the horizon is a ``CoverageError`` naming the terminal.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+    horizon_ms = property(lambda self: self.segments[0][1][-1].end)
+
+    def __new__(cls, segments):
+        return super().__new__(cls, _tiled([(name, segs, None) for name, segs in segments]))
 
     @property
     def terminals(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.segments)
 
     def value_at(self, terminal: str, t_ms: float) -> float:
-        """Voltage on a terminal at time t (segments are half-open on the right)."""
+        """Voltage on a terminal at time t: the level of the segment holding t, or of the last from the horizon on."""
         for name, segs in self.segments:
             if name == terminal:
-                for seg in segs:
-                    if seg.start <= t_ms < seg.end:
-                        return seg.volts
-                if t_ms >= self.horizon_ms:
-                    return segs[-1].volts
-                raise CoverageError(f"terminal {terminal} has no segment covering t={t_ms}")
+                if not t_ms >= 0:
+                    raise CoverageError(f"terminal {terminal} has no segment covering t={t_ms}")
+                return next((seg.volts for seg in segs if t_ms < seg.end), segs[-1].volts)
         raise UnknownTerminalError(f"unknown terminal {terminal!r}")
+
+
+def _tiled(terminals: list) -> tuple:
+    """``(name, segments, line)`` terminals as ``(name, segments)`` pairs, each terminal's segments sorted by start,
+    once they meet the rule of ``Stimulus``; a diagnostic gives the terminal's ``line`` from ``parse_stimulus``."""
+    if not terminals:
+        raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
+    terminals = [(name, tuple(sorted(segs, key=lambda s: s.start)), lineno) for name, segs, lineno in terminals]
+    horizon = max((seg.end for _, segs, _ in terminals for seg in segs), default=math.nan)
+    for name, segs, lineno in terminals:
+        cursor = 0.0
+        for seg in segs:
+            if seg.start < cursor:
+                raise OverlapError(f"terminal {name!r}: interval {seg.start}..{seg.end} overlaps the previous one",
+                                   lineno)
+            if seg.start != cursor:  # a gap, or a NaN start
+                raise CoverageError(f"terminal {name!r}: gap between t={cursor} and t={seg.start}", lineno)
+            cursor = seg.end
+        if cursor != horizon:
+            raise CoverageError(f"terminal {name!r} ends at t={cursor} but the horizon is {horizon}", lineno)
+    return tuple((name, segs) for name, segs, _ in terminals)
 
 
 def check_drives(graph: CircuitGraph, stimulus: Stimulus) -> None:
@@ -342,25 +364,7 @@ def parse_stimulus(text: str) -> Stimulus:
             segments.append(Segment(start, end, volts))
         terminals[name] = (segments, lineno)
 
-    if not terminals:
-        raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
-
-    horizon = max(seg.end for segs, _ in terminals.values() for seg in segs)
-    validated: list[tuple[str, tuple[Segment, ...]]] = []
-    for name, (segs, lineno) in terminals.items():
-        segs = sorted(segs, key=lambda s: s.start)
-        cursor = 0.0
-        for seg in segs:
-            if seg.start < cursor:
-                raise OverlapError(f"terminal {name!r}: interval {seg.start}..{seg.end} overlaps the previous one",
-                                   lineno)
-            if seg.start > cursor:
-                raise CoverageError(f"terminal {name!r}: gap between t={cursor} and t={seg.start}", lineno)
-            cursor = seg.end
-        if cursor != horizon:
-            raise CoverageError(f"terminal {name!r} ends at t={cursor} but the horizon is {horizon}", lineno)
-        validated.append((name, tuple(segs)))
-    return Stimulus(tuple(validated), horizon)
+    return Stimulus(_tiled([(name, segs, lineno) for name, (segs, lineno) in terminals.items()]))
 
 
 def serialize_circuit(graph: CircuitGraph) -> str:

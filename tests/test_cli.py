@@ -312,6 +312,31 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Bytes that are not UTF-8, the line of the first bad byte, and the decoder's reason.
+NOT_UTF8 = {
+    "latin-1 comment": (b"input A\n# caf\xe9 au lait\ngate 1 MNOT A\n", 2, "invalid continuation byte"),
+    "binary header": (b"\x7fELF\x02\x01\x01\x00" + bytes(8) + b"\x03\x00>\x00\x01\x00\x00\x00\x90\x6a", 1,
+                      "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+@pytest.mark.parametrize("argv", [
+    ["run", "--circuit", "BAD", "--stimulus", PATTERN_101, "--out", "OUT"],
+    ["run", "--circuit", ADDER, "--stimulus", "BAD", "--out", "OUT"],
+    ["check", "--circuit", "BAD"],
+    ["check", "--circuit", ADDER, "--stimulus", "BAD"],
+    ["characterize", "--gate", "MOR", "--schedule", "BAD", "--out", "OUT"],
+], ids=["run circuit", "run stimulus", "check circuit", "check stimulus", "characterize schedule"])
+def test_a_file_that_is_not_utf8_is_a_usage_error_naming_the_file_and_line(tmp_path, capsys, argv, kind):
+    data, line, reason = NOT_UTF8[kind]
+    bad, out = tmp_path / "bad.txt", tmp_path / "out.csv"
+    bad.write_bytes(data)
+    assert main([{"BAD": str(bad), "OUT": str(out)}.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {str(bad)!r} is not UTF-8: {reason}\n"
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 def test_characterize_writes_trace(tmp_path, capsys):
     out = tmp_path / "mor.csv"
     code = main(["characterize", "--gate", "MOR", "--out", str(out)])
@@ -390,27 +415,35 @@ def test_run_and_characterize_write_their_sidecars_without_hashlib_or_json(tmp_p
     assert len(json.loads((tmp_path / "adder.json").read_text())) == 16
 
 
-def _flag_values(finite):
-    """``finite`` values of a flag, or zero, a negative value or a non-finite one."""
-    return st.one_of(finite, st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
-                     st.floats(max_value=0.0, allow_nan=False))
+def _flag_values(valid, invalid):
+    """A flag's values: one draw in five from ``invalid``, the rest from ``valid``, so most examples reach a run."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else invalid)
+
+
+# Zero, a negative or a non-finite value: what a time or ``--b`` must not be.
+NOT_POSITIVE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+                         st.floats(max_value=0.0, allow_nan=False))
 
 
 # ``--dt`` is drawn after ``--horizon``, and never below 0.005 ms, as a tiny step makes a run of unbounded
 # time: every command streams its run, so memory stays flat, but a valid dt of 1e-16 ms at 400 ms is 4e18
 # steps.  It goes below 0.05 ms only at a horizon of at most 150 ms, so no run takes more than 30,000 steps
-# (10^4 at a horizon of up to 500 ms, 8,000 at the default 400 ms).  A step count past ``sys.maxsize`` is
-# refused before any run starts, and ``test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command``
-# holds it.
-def _dt_values(horizon):
-    return _flag_values(st.floats(0.005 if horizon <= 150.0 else 0.05, 1e3))
+# (10^4 at a horizon of up to 500 ms, 8,000 at the default 400 ms).  ``adder`` makes 8 runs, so its floor is 8
+# times higher, and no example starts more than 30,000 steps.  A step count past ``sys.maxsize`` is refused
+# before any run starts, and ``test_a_step_count_past_sys_maxsize_is_a_usage_error_for_every_command`` holds it.
+def _dt_values(horizon, runs):
+    floor = (0.005 if horizon <= 150.0 else 0.05) * runs
+    cap = horizon if floor <= horizon <= 1e3 else 1e3  # a valid dt is at most the horizon
+    return _flag_values(st.one_of(st.floats(floor, cap), st.floats(floor, min(10 * floor, cap))), NOT_POSITIVE)
 
 
+# Valid potentials satisfy v_red < v_ox < v_ref (0.6 V), and an MNOT needs v_ox above its 0.3 V constant source;
+# any float is an invalid draw.
 CONFIG_FLAGS = {
-    "--horizon": _flag_values(st.floats(1e-3, 500.0)),
-    "--b": _flag_values(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
-    "--vox": _flag_values(st.floats(allow_nan=False, allow_infinity=False)),
-    "--vred": _flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+    "--horizon": _flag_values(st.floats(1.0, 500.0), NOT_POSITIVE),
+    "--b": _flag_values(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), NOT_POSITIVE),
+    "--vox": _flag_values(st.floats(0.3, 0.6, exclude_min=True, exclude_max=True), st.floats()),
+    "--vred": _flag_values(st.floats(-1.0, 0.3), st.floats()),
 }
 
 
@@ -425,7 +458,8 @@ def test_any_config_flag_values_exit_with_a_code_not_a_traceback(command, data):
                       label="flags")
     values = {flag: data.draw(CONFIG_FLAGS[flag], label=flag) for flag in flags if flag != "--dt"}
     if "--dt" in flags:
-        values["--dt"] = data.draw(_dt_values(values.get("--horizon", SimConfig().horizon)), label="--dt")
+        horizon = values.get("--horizon", SimConfig().horizon)
+        values["--dt"] = data.draw(_dt_values(horizon, 8 if command == ["adder"] else 1), label="--dt")
     # ``--flag=value``, as argparse would take a separate ``-inf`` for an option.
     argv = command + [f"{flag}={values[flag]!r}" for flag in flags]
     stdout, stderr = io.StringIO(), io.StringIO()

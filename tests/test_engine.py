@@ -33,6 +33,7 @@ from memlogic.harness import build_full_adder, make_pattern_stimulus
 from memlogic.netlist import (
     CoverageError,
     DuplicateError,
+    OverlapError,
     Segment,
     Stimulus,
     UnknownTerminalError,
@@ -191,7 +192,7 @@ CHAIN_VOLTS = st.one_of(st.sampled_from([0.1, 0.6, 0.5, -0.1, 0.3, -0.2]), st.fl
 def test_two_chained_runs_end_where_one_run_of_both_ends(volts, dt, n):
     """N steps, then N more from ``final_states``, end bit for bit where one run of 2N steps ends."""
     graph = build_full_adder()
-    stim = Stimulus(tuple((name, (Segment(0.0, 2 * n * dt, v),)) for name, v in zip(graph.inputs, volts)), 2 * n * dt)
+    stim = Stimulus(tuple((name, (Segment(0.0, 2 * n * dt, v),)) for name, v in zip(graph.inputs, volts)))
     whole = simulate(graph, stim, SimConfig(dt=dt, horizon=2 * n * dt))
     half = SimConfig(dt=dt, horizon=n * dt)
     first = simulate(graph, stim, half)
@@ -206,29 +207,35 @@ def test_two_chained_runs_end_where_one_run_of_both_ends(volts, dt, n):
 
 
 @st.composite
-def ordered_segments(draw, dt, steps):
-    """One terminal's segments in time order, with gaps and overlaps, each bound on a step
-    time or one ulp either side of it."""
+def tilings(draw, dt, steps):
+    """One terminal's segments tiling [0, horizon], in any order, each bound on a step time or one ulp either side
+    of it, the horizon on or past the run's last step."""
     def near_step(k):
         t = k * dt
         return draw(st.sampled_from([math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]))
 
-    firsts = sorted([0, *draw(st.lists(st.integers(0, steps + 1), max_size=5))])
-    segs = []
-    for i, k in enumerate(firsts):
-        upto = firsts[i + 1] if i + 1 < len(firsts) else steps + 1
-        # Abut the next segment, stop short of it, or run past its start.
-        end = upto + draw(st.sampled_from([0, 0, 0, -1, 1, 3]))
-        segs.append(Segment(near_step(k), near_step(end), draw(VOLTS)))
-    return tuple(sorted(segs, key=lambda seg: seg.start))
+    last = steps + draw(st.sampled_from([0, 0, 1, 3]))
+    cuts = sorted(set(draw(st.lists(st.integers(1, last), max_size=5))) - {last})
+    bounds = [0.0, *map(near_step, cuts), near_step(last)]
+    return draw(st.permutations([Segment(a, b, draw(VOLTS)) for a, b in zip(bounds, bounds[1:])]))
 
 
-def sampled(sample):
-    """The bytes of a sampled column, or the message of the ``CoverageError`` raised instead."""
-    try:
-        return sample().tobytes()
-    except CoverageError as exc:
-        return str(exc)
+def untiled(data, segs):
+    """``segs``, time-ordered, with one segment's start or end moved by an ulp or to NaN, or with one left out."""
+    segs = sorted(segs, key=lambda seg: seg.start)
+    i = data.draw(st.integers(0, len(segs) - 1))
+    start, end, volts = segs[i]
+    how = data.draw(st.sampled_from(["start", "end", "leave out"]))
+    if how == "leave out":
+        return segs[:i] + segs[i + 1:]
+    moved = data.draw(st.sampled_from([-math.inf, math.inf, math.nan]))  # ``nextafter`` towards NaN is NaN
+    segs[i] = Segment(math.nextafter(start, moved) if how == "start" else start,
+                      math.nextafter(end, moved) if how == "end" else end, volts)
+    return segs
+
+
+def stimulus_text(terminals):
+    return "".join(f"{name}: {', '.join(f'{a!r}..{b!r}={v!r}' for a, b, v in segs)}\n" for name, segs in terminals)
 
 
 @given(data=st.data())
@@ -236,42 +243,52 @@ def sampled(sample):
 def test_sample_by_segment_matches_value_at_per_time(data):
     dt = data.draw(DT)
     steps = data.draw(st.integers(1, 60))
-    segs = data.draw(ordered_segments(dt, steps))
-    stim = Stimulus((("B", (Segment(0.0, steps * dt, 9.0),)), ("A", segs)), steps * dt)
-    starts = [k * dt for k in range(steps)]
-    got = sampled(lambda: _clip(_sample(stim, "A", dt, steps), 0, steps)[0])
-    assert got == sampled(lambda: array("d", [stim.value_at("A", t) for t in starts]))
-    if not isinstance(got, str):
-        # The runs tile every step, in order, and each holds one double.
-        runs = _sample(stim, "A", dt, steps)
-        column, clipped = _clip(runs, 0, steps)
-        assert clipped == [(lo, hi) for lo, hi, _ in runs]
-        assert [k for run in clipped for k in range(*run)] == list(range(steps))
-        assert all(len(set(column[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
-                   for lo, hi in clipped)
-        # A window's clip is that window of the column, with the runs there counted from its first step.
-        a = data.draw(st.integers(0, steps - 1))
-        e = data.draw(st.integers(a + 1, steps))
-        part, local = _clip(runs, a, e)
-        assert part.tobytes() == column[a:e].tobytes()
-        assert [k for run in local for k in range(*run)] == list(range(e - a))
-        assert all(len(set(part[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
-                   for lo, hi in local)
+    segs = data.draw(tilings(dt, steps))
+    horizon = max(seg.end for seg in segs)
+    stim = Stimulus((("B", (Segment(0.0, horizon, 9.0),)), ("A", segs)))
+    assert stim.segments[1][1] == tuple(sorted(segs, key=lambda seg: seg.start))
+    assert stim.horizon_ms == horizon
+    runs = _sample(stim, "A", dt, steps)
+    column, clipped = _clip(runs, 0, steps)
+    assert column.tobytes() == array("d", [stim.value_at("A", k * dt) for k in range(steps)]).tobytes()
+    # The runs tile every step, in order, and each holds one double.
+    assert clipped == [(lo, hi) for lo, hi, _ in runs]
+    assert [k for run in clipped for k in range(*run)] == list(range(steps))
+    assert all(len(set(column[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
+               for lo, hi in clipped)
+    # A window's clip is that window of the column, with the runs there counted from its first step.
+    a = data.draw(st.integers(0, steps - 1))
+    e = data.draw(st.integers(a + 1, steps))
+    part, local = _clip(runs, a, e)
+    assert part.tobytes() == column[a:e].tobytes()
+    assert [k for run in local for k in range(*run)] == list(range(e - a))
+    assert all(len(set(part[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
+               for lo, hi in local)
+    # Any segments that do not tile are rejected when the stimulus is built, as ``parse_stimulus`` rejects their text.
+    terminals = (("B", (Segment(0.0, horizon, 9.0),)), ("A", untiled(data, segs)))
+    with pytest.raises((OverlapError, CoverageError)) as built:
+        Stimulus(terminals)
+    assert str(built.value).startswith(("terminal 'A'", "terminal 'B'"))
+    if terminals[1][1] and all(math.isfinite(x) for _, segs in terminals for seg in segs for x in seg):
+        with pytest.raises((OverlapError, CoverageError)) as parsed:
+            parse_stimulus(stimulus_text(terminals))
+        assert type(parsed.value) is type(built.value)
+        assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
 
 
-def test_segment_with_a_nan_start_covers_no_time():
-    stim = Stimulus((("A", (Segment(math.nan, 20.0, 0.6),)),), 20.0)
-    assert sampled(lambda: _sample(stim, "A", 1.0, 20)) == "terminal A has no segment covering t=0.0"
-    with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=0\.0$"):
-        stim.value_at("A", 0.0)
+def test_a_nan_start_is_a_gap_at_construction():
+    with pytest.raises(CoverageError, match=r"^terminal 'A': gap between t=0\.0 and t=nan$"):
+        Stimulus((("A", (Segment(math.nan, 20.0, 0.6),)),))
 
 
-def test_out_of_order_segments_are_a_coverage_error():
+def test_out_of_order_segments_simulate_as_their_sorted_form():
     graph = parse_circuit("input A\ngate 1 MNOT A\n")
-    stim = Stimulus((("A", (Segment(10.0, 20.0, 0.6), Segment(0.0, 10.0, 0.1))),), 20.0)
-    assert stim.value_at("A", 0.0) == 0.1
-    with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=0\.0$"):
-        simulate(graph, stim, SimConfig(horizon=20.0))
+    shuffled = Stimulus((("A", (Segment(10.0, 20.0, 0.6), Segment(0.0, 10.0, 0.1))),))
+    ordered = Stimulus((("A", (Segment(0.0, 10.0, 0.1), Segment(10.0, 20.0, 0.6))),))
+    assert shuffled == ordered
+    assert shuffled.value_at("A", 0.0) == 0.1
+    cfg = SimConfig(horizon=20.0)
+    assert simulate(graph, shuffled, cfg).columns == simulate(graph, ordered, cfg).columns
 
 
 class TestTraceExport:

@@ -147,7 +147,7 @@ def stimuli(draw, names, horizon):
                                         max_size=5))))
         bounds = [0.0] + cuts + [horizon]
         terminals.append((name, tuple(Segment(s, e, draw(VOLTS)) for s, e in zip(bounds, bounds[1:]))))
-    return Stimulus(tuple(terminals), horizon)
+    return Stimulus(tuple(terminals))
 
 
 @given(data=st.data())
@@ -200,25 +200,21 @@ def test_gate_step_matches_reference_at_threshold_edges_and_signed_zero_ties():
 def test_fresh_run_matches_reference_under_default_params():
     graph = parse_circuit("input A\ninput B\ngate 1 MOR A B\ngate 2 MNOT 1\ngate 3 MAND 2 A\noutput OUT 3\n")
     stim = Stimulus((("A", (Segment(0.0, 20.0, 0.6), Segment(20.0, 40.0, -0.2))),
-                     ("B", (Segment(0.0, 40.0, 0.1),))), 40.0)
+                     ("B", (Segment(0.0, 40.0, 0.1),))))
     cfg = SimConfig(dt=0.7, horizon=40.0)
     assert hexed(simulate(graph, stim, cfg)) == hexed(reference_simulate(graph, stim, cfg)[0])
 
 
 def test_gap_in_hand_built_stimulus_is_a_coverage_error():
-    graph = parse_circuit("input A\ngate 1 MNOT A\n")
-    stim = Stimulus((("A", (Segment(0.0, 10.0, 0.6), Segment(12.0, 20.0, 0.1))),), 20.0)
-    cfg = SimConfig(horizon=20.0)
-    with pytest.raises(CoverageError):
-        reference_simulate(graph, stim, cfg)
-    with pytest.raises(CoverageError):
-        simulate(graph, stim, cfg)
+    """The gap is found when the stimulus is built, with the message ``parse_stimulus`` gives it."""
+    with pytest.raises(CoverageError, match=r"^terminal 'A': gap between t=10\.0 and t=12\.0$"):
+        Stimulus((("A", (Segment(0.0, 10.0, 0.6), Segment(12.0, 20.0, 0.1))),))
 
 
 def run_both(text, terminals, horizon, params=None, states=None):
     """The engine's trace, checked bit for bit against the reference's, at dt = 1 ms."""
     graph = parse_circuit(text)
-    stim = Stimulus(tuple((name, tuple(Segment(*seg) for seg in segs)) for name, segs in terminals.items()), horizon)
+    stim = Stimulus(tuple((name, tuple(Segment(*seg) for seg in segs)) for name, segs in terminals.items()))
     cfg = SimConfig(horizon=horizon)
     got = simulate(graph, stim, cfg, params, states)
     want, want_states = reference_simulate(graph, stim, cfg, params, states)
@@ -291,12 +287,13 @@ def test_final_states_of_an_aliased_twin_continue_the_run():
     graph = parse_circuit(text)
     segs = {"A": (Segment(0.0, 30.0, 0.1), Segment(30.0, 60.0, 0.6)), "B": (Segment(0.0, 60.0, 0.6),)}
     cfg = SimConfig(horizon=30.0)
-    first = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items()), 60.0), cfg)
+    first = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items())), cfg)
     assert first.columns["g3_x1"] is first.columns["g4_x1"]
-    rest = Stimulus(tuple((n, tuple(Segment(g.start - 30.0, g.end - 30.0, g.volts) for g in s if g.end > 30.0))
-                          for n, s in segs.items()), 30.0)
+    # The last 30 ms of each terminal, moved to start at 0: B's one segment, from -30 ms, is cut at 0.
+    rest = Stimulus(tuple((n, tuple(Segment(max(g.start - 30.0, 0.0), g.end - 30.0, g.volts)
+                                    for g in s if g.end > 30.0)) for n, s in segs.items()))
     second = simulate(graph, rest, cfg, states=final_states(first, graph))
-    whole = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items()), 60.0), SimConfig(horizon=60.0))
+    whole = simulate(graph, Stimulus(tuple((n, s) for n, s in segs.items())), SimConfig(horizon=60.0))
     for node in graph.nodes:
         for part in ("", "_I", "_x1", "_x2"):
             name = f"g{node.id}{part}"

@@ -1,5 +1,6 @@
 """Netlist and stimulus parsing: happy paths, diagnostics, round trips."""
 
+import math
 import random
 
 import pytest
@@ -188,6 +189,73 @@ class TestParseStimulus:
         assert stim.value_at("A", 50.0) == 0.1
 
 
+# A stimulus text that fails the tiling rule, its segments, and the diagnostic ``parse_stimulus`` gives it.
+UNTILED = [
+    ("A: 0..50=0.1, 40..100=0.6\n", {"A": [(0.0, 50.0, 0.1), (40.0, 100.0, 0.6)]},
+     OverlapError, "line 1: terminal 'A': interval 40.0..100.0 overlaps the previous one"),
+    ("A: 0..50=0.1, 60..100=0.6\n", {"A": [(0.0, 50.0, 0.1), (60.0, 100.0, 0.6)]},
+     CoverageError, "line 1: terminal 'A': gap between t=50.0 and t=60.0"),
+    ("A: 10..100=0.1\n", {"A": [(10.0, 100.0, 0.1)]},
+     CoverageError, "line 1: terminal 'A': gap between t=0.0 and t=10.0"),
+    ("A: 0..100=0.1\nB: 0..400=0.1\n", {"A": [(0.0, 100.0, 0.1)], "B": [(0.0, 400.0, 0.1)]},
+     CoverageError, "line 1: terminal 'A' ends at t=100.0 but the horizon is 400.0"),
+    ("A: 0..400=0.1\n\nB: 100..300=0.6, 0..100=0.1\n",
+     {"A": [(0.0, 400.0, 0.1)], "B": [(100.0, 300.0, 0.6), (0.0, 100.0, 0.1)]},
+     CoverageError, "line 3: terminal 'B' ends at t=300.0 but the horizon is 400.0"),
+]
+
+
+def built(terminals):
+    return Stimulus(tuple((name, tuple(Segment(*seg) for seg in segs)) for name, segs in terminals.items()))
+
+
+class TestStimulusConstruction:
+    """A hand-built ``Stimulus`` meets the one tiling rule that ``parse_stimulus`` applies."""
+
+    @pytest.mark.parametrize("text, terminals, error, diagnostic", UNTILED)
+    def test_untiled_segments_are_rejected_as_their_text_is(self, text, terminals, error, diagnostic):
+        with pytest.raises(error) as parsed:
+            parse_stimulus(text)
+        assert str(parsed.value) == diagnostic
+        with pytest.raises(error) as constructed:
+            built(terminals)
+        assert constructed.value.line is None
+        assert f"line {parsed.value.line}: {constructed.value}" == diagnostic
+
+    @pytest.mark.parametrize("terminals, message", [
+        ({"A": [(math.nan, 10.0, 0.1)]}, "terminal 'A': gap between t=0.0 and t=nan"),
+        ({"A": [(0.0, 10.0, 0.1), (math.nan, 20.0, 0.6)]}, "terminal 'A': gap between t=10.0 and t=nan"),
+        ({"A": [(0.0, math.nan, 0.1), (10.0, 20.0, 0.6)]}, "terminal 'A': gap between t=nan and t=10.0"),
+        ({"B": [(0.0, 20.0, 0.1)], "A": [(0.0, math.nan, 0.1)]}, "terminal 'A' ends at t=nan but the horizon is 20.0"),
+        ({"A": [], "B": [(0.0, 20.0, 0.1)]}, "terminal 'A' ends at t=0.0 but the horizon is 20.0"),
+    ])
+    def test_nan_times_and_a_terminal_without_segments_are_coverage_errors(self, terminals, message):
+        with pytest.raises(CoverageError) as exc:
+            built(terminals)
+        assert str(exc.value) == message
+
+    def test_levels_may_be_any_float(self):
+        stim = built({"A": [(0.0, 10.0, math.nan), (10.0, 20.0, math.inf)]})
+        assert stim.horizon_ms == 20.0
+        assert math.isnan(stim.value_at("A", 0.0)) and stim.value_at("A", 20.0) == math.inf
+
+    def test_no_terminals_is_a_syntax_error(self):
+        with pytest.raises(NetlistSyntaxError, match="stimulus declares no terminals"):
+            Stimulus(())
+
+    def test_horizon_is_read_from_the_segments_and_replace_is_checked(self):
+        stim = built({"A": [(5.0, 20.0, 0.6), (0.0, 5.0, 0.1)], "B": [(0.0, 20.0, 0.1)]})
+        assert stim == parse_stimulus("A: 0..5=0.1, 5..20=0.6\nB: 0..20=0.1\n")
+        assert stim.horizon_ms == 20.0
+        with pytest.raises(AttributeError):
+            stim.horizon_ms = 30.0
+        with pytest.raises(TypeError):
+            Stimulus(stim.segments, 20.0)
+        assert stim._replace(segments=stim.segments[1:]).horizon_ms == 20.0
+        with pytest.raises(CoverageError, match="^terminal 'A' ends at t=20.0 but the horizon is 30.0$"):
+            stim._replace(segments=(*stim.segments[:1], ("B", (Segment(0.0, 30.0, 0.1),))))
+
+
 class TestRoundTrip:
     def test_circuit_round_trip(self):
         graph = parse_circuit(fixture_text("adder.mlc"))
@@ -216,7 +284,7 @@ def stimuli(draw):
         cuts = {c for c in draw(st.lists(st.floats(0.0, horizon), max_size=5)) if 0.0 < c < horizon}
         bounds = [0.0, *sorted(cuts), horizon]
         terminals.append((name, tuple(Segment(a, b, draw(FINITE)) for a, b in zip(bounds, bounds[1:]))))
-    return Stimulus(tuple(terminals), horizon)
+    return Stimulus(tuple(terminals))
 
 
 @given(stimuli())

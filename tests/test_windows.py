@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from memlogic import engine
 from memlogic.cli import main
-from memlogic.device import MemristorState
+from memlogic.device import ConfigError, DeviceParams, MemristorState
 from memlogic.engine import SimConfig, Trace, read_binary, settle_time, simulate, simulate_windows, write_trace
 from memlogic.harness import Verdict, adder_truth, build_full_adder, fixture_dir, make_pattern_stimulus, run_pattern
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
@@ -58,7 +58,7 @@ def window_stimuli(draw, names, steps, window, dt):
         bounds = [0.0, *cuts, steps * dt]
         levels = st.one_of(VOLTS, st.just(math.nan))
         terminals.append((name, tuple(Segment(s, e, draw(levels)) for s, e in zip(bounds, bounds[1:]))))
-    return Stimulus(tuple(terminals), steps * dt)
+    return Stimulus(tuple(terminals))
 
 
 @given(data=st.data())
@@ -138,13 +138,17 @@ def test_writing_no_trace_is_a_value_error_and_opens_no_file(tmp_path, traces):
 
 
 def test_checks_of_a_windowed_run_come_before_any_window():
-    """A coverage gap after the first window is found when ``simulate_windows`` returns, not when it is read."""
+    """A stimulus that ends after the first window, a ``states`` id the netlist lacks and an MNOT source that would
+    potentiate its device are each found when ``simulate_windows`` returns, not when a window is read."""
     graph = parse_circuit("input A\ngate 1 MNOT A\n")
-    stim = Stimulus((("A", (Segment(0.0, 100.0, 0.1), Segment(150.0, 400.0, 0.6))),), 400.0)
-    with pytest.raises(CoverageError, match=r"^terminal A has no segment covering t=100\.0$"):
+    stim = Stimulus((("A", (Segment(0.0, 100.0, 0.1), Segment(100.0, 150.0, 0.6))),))
+    with pytest.raises(CoverageError, match=r"^stimulus covers 150\.0 ms but the run needs 400\.0 ms$"):
         simulate_windows(graph, stim, SimConfig(dt=0.01))
+    cfg = SimConfig(dt=0.01, horizon=150.0)
     with pytest.raises(ValueError, match="states has gate 2"):
-        simulate_windows(graph, stim, SimConfig(dt=0.01), states={2: MemristorState(1.0, 1.0)})
+        simulate_windows(graph, stim, cfg, states={2: MemristorState(1.0, 1.0)})
+    with pytest.raises(ConfigError, match="MNOT constant source"):
+        simulate_windows(graph, stim, cfg, params=DeviceParams(v_ox=0.25))
 
 
 @pytest.mark.parametrize("stimulus, flags, message", [
