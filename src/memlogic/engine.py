@@ -286,7 +286,7 @@ def _windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: De
     def run():
         for a in range(0, steps, size):
             e = min(a + size, steps)
-            # ``parse_circuit`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
+            # ``CircuitGraph`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
             # The last window's tables are dropped before any is filled, so one window is live at a time.
             columns, runs, twins = dict.fromkeys(names), {}, {}
             for name, terminal_runs in inputs.items():

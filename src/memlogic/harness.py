@@ -13,7 +13,7 @@ from collections import deque, namedtuple
 from .device import ConfigError, DeviceParams
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
 from .gates import GateKind
-from .netlist import CircuitGraph, NetlistSyntaxError, Stimulus, parse_circuit, parse_stimulus
+from .netlist import CircuitGraph, GateNode, NetlistSyntaxError, Segment, Stimulus, parse_circuit
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"
 _PACKAGE_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -42,18 +42,15 @@ def build_full_adder() -> CircuitGraph:
 
 
 def make_pattern_stimulus(a: int, b: int, cin: int, cfg: SimConfig | None = None) -> Stimulus:
-    """Stimulus for one input pattern: 100 ms all-low, then the pattern.  Times and levels are written exactly."""
+    """Stimulus for one input pattern: 100 ms all-low, then the pattern.  Any bit but 0 or 1 is a ``ValueError``."""
+    if any(bit not in (0, 1) for bit in (a, b, cin)):
+        raise ValueError("pattern bits must be 0 or 1")
     cfg = cfg or SimConfig()
     if not cfg.horizon > ONSET_MS:
         raise ConfigError(f"the adder protocol needs a horizon past its {ONSET_MS:g} ms onset, got {cfg.horizon:g} ms")
-    lines = ["format memlogic/1"]
-    for name, bit in (("A", a), ("B", b), ("CIN", cin)):
-        level = cfg.v_logic1 if bit else cfg.v_logic0
-        if bit:
-            lines.append(f"{name}: 0..{ONSET_MS!r}={cfg.v_logic0!r}, {ONSET_MS!r}..{cfg.horizon!r}={level!r}")
-        else:
-            lines.append(f"{name}: 0..{cfg.horizon!r}={cfg.v_logic0!r}")
-    return parse_stimulus("\n".join(lines) + "\n")
+    lo, hi, end = float(cfg.v_logic0), float(cfg.v_logic1), float(cfg.horizon)
+    return Stimulus(tuple((name, (Segment(0.0, ONSET_MS, lo), Segment(ONSET_MS, end, hi)) if bit
+                                 else (Segment(0.0, end, lo),)) for name, bit in (("A", a), ("B", b), ("CIN", cin))))
 
 
 def adder_truth(a: int, b: int, cin: int) -> tuple[int, int]:
@@ -80,9 +77,6 @@ def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
 
     Every device starts fresh, with ``params``.  The returned trace is the run's last ``simulate_windows`` window.
     """
-    for bit in (a, b, cin):
-        if bit not in (0, 1):
-            raise ValueError("pattern bits must be 0 or 1")
     cfg = cfg or SimConfig()
     trace = deque(simulate_windows(build_full_adder(), make_pattern_stimulus(a, b, cin, cfg), cfg, params), maxlen=1)[0]
     verdicts = []
@@ -99,21 +93,19 @@ def run_pattern(a: int, b: int, cin: int, cfg: SimConfig | None = None,
 
 def gate_circuit(kind: GateKind) -> CircuitGraph:
     """The one-gate netlist: inputs IN1 (and IN2 for two-input kinds), gate 1 of ``kind``, probed as OUT."""
-    pins = ["IN1", "IN2"][:kind.arity]
-    inputs = "".join(f"input {pin}\n" for pin in pins)
-    return parse_circuit(f"{inputs}gate 1 {kind.value} {' '.join(pins)}\noutput OUT 1\n")
+    pins = ("IN1", "IN2")[:kind.arity]
+    return CircuitGraph((GateNode(1, kind, pins),), pins, (("OUT", 1),))
 
 
 def default_characterization_schedule(kind: GateKind, cfg: SimConfig | None = None) -> Stimulus:
     """Canned schedules illustrating each gate's memory behaviour, each level last held to the horizon or 400 ms."""
     cfg = cfg or SimConfig()
-    lo, hi, end = cfg.v_logic0, cfg.v_logic1, max(400.0, cfg.horizon)
-    if kind is GateKind.MOR:
-        lines = [f"IN1: 0..100={lo!r}, 100..150={hi!r}, 150..200={lo!r}, 200..300={hi!r}, 300..{end!r}={lo!r}",
-                 f"IN2: 0..{end!r}={lo!r}"]
+    lo, hi, end = float(cfg.v_logic0), float(cfg.v_logic1), float(max(400.0, cfg.horizon))
+    if kind is GateKind.MOR:  # each terminal's segment starts, then their levels
+        schedule = [("IN1", (0.0, 100.0, 150.0, 200.0, 300.0), (lo, hi, lo, hi, lo)), ("IN2", (0.0,), (lo,))]
     elif kind is GateKind.MAND:
-        lines = [f"IN1: 0..100={lo!r}, 100..200={hi!r}, 200..300={lo!r}, 300..{end!r}={hi!r}",
-                 f"IN2: 0..200={lo!r}, 200..300={hi!r}, 300..{end!r}={hi!r}"]
+        schedule = [("IN1", (0.0, 100.0, 200.0, 300.0), (lo, hi, lo, hi)), ("IN2", (0.0, 200.0, 300.0), (lo, hi, hi))]
     else:
-        lines = [f"IN1: 0..100={lo!r}, 100..250={hi!r}, 250..{end!r}={lo!r}"]
-    return parse_stimulus("format memlogic/1\n" + "\n".join(lines) + "\n")
+        schedule = [("IN1", (0.0, 100.0, 250.0), (lo, hi, lo))]
+    return Stimulus(tuple((name, tuple(map(Segment, starts, (*starts[1:], end), levels)))
+                          for name, starts, levels in schedule))

@@ -1,4 +1,4 @@
-"""Parsing and validation of circuit and stimulus descriptions.
+"""Parsing of circuit and stimulus descriptions, and the types that validate them.
 
 Both formats are line oriented, UTF-8, with ``#`` starting a comment and
 an optional leading ``format memlogic/1`` version line.
@@ -10,8 +10,7 @@ Netlist grammar::
     output <NAME> <ID>
 
 where ``<src>`` is either a declared input name or a gate id.  Gates may
-reference ids declared later in the file; the graph is validated as a
-whole after parsing.
+reference ids declared later in the file.
 
 Stimulus grammar::
 
@@ -19,7 +18,8 @@ Stimulus grammar::
 
 with times in milliseconds.  Intervals per terminal must tile [0, horizon]
 without gaps or overlaps, where the horizon is the largest end time in
-the file.
+the file.  The parsers check only what the text can get wrong; the ``CircuitGraph``
+and ``Stimulus`` constructors check the rest, for parsed and hand-built values alike.
 """
 
 from __future__ import annotations
@@ -93,11 +93,19 @@ class GateNode(namedtuple("GateNode", "id kind sources")):
 class CircuitGraph(namedtuple("CircuitGraph", "nodes inputs outputs")):
     """Validated, acyclic gate-level netlist.
 
-    ``nodes`` are the gates, ``inputs`` the input names, and ``outputs``
-    the (probe name, gate id) pairs, each in declaration order.
+    ``nodes`` are the gates, ``inputs`` the input names, and ``outputs`` the (probe name, gate id) pairs, each a tuple
+    in declaration order.  Construction, ``_replace`` included, checks that gate ids are distinct positive ``int``s,
+    each kind a ``GateKind`` with its arity of sources, each source and output target declared, the graph acyclic, and
+    input and probe names valid, distinct and no trace column (``t_ms``, or ``g1``, ``g1_I``, ``g1_x1`` or ``g1_x2``
+    when gate 1 exists).
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, nodes, inputs, outputs):
+        return _graph([(name, None) for name in inputs], [(node, None) for node in nodes],
+                      [(name, target, None) for name, target in outputs])
 
     @property
     def probes(self) -> dict[str, int]:
@@ -111,8 +119,9 @@ class Stimulus(namedtuple("Stimulus", "segments")):
     """Piecewise-constant input waveforms: one level per terminal at each instant of [0, horizon_ms].
 
     ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per terminal.  Construction, ``_replace``
-    included, sorts each terminal's segments by start and checks that they tile [0, horizon_ms]: the first starts at 0,
-    each next one where the one before ends, and every terminal ends at the horizon, the largest end.  An overlap is an
+    included, checks that terminal names are valid and distinct and that no segment ends at or before its start.  It
+    sorts each terminal's segments by start and checks that they tile [0, horizon_ms]: the first starts at 0, each
+    next one where the one before ends, and every terminal ends at the horizon, the largest end.  An overlap is an
     ``OverlapError``; a gap, a NaN time or an end off the horizon is a ``CoverageError`` naming the terminal.
     """
 
@@ -137,11 +146,30 @@ class Stimulus(namedtuple("Stimulus", "segments")):
         raise UnknownTerminalError(f"unknown terminal {terminal!r}")
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # matched with ``fullmatch``
+_RESERVED = ("name %r is taken by a trace column: input and probe names "
+             "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
+
+
+def _on(line: int | None) -> str:
+    return "" if line is None else f" on line {line}"
+
+
 def _tiled(terminals: list) -> tuple:
     """``(name, segments, line)`` terminals as ``(name, segments)`` pairs, each terminal's segments sorted by start,
     once they meet the rule of ``Stimulus``; a diagnostic gives the terminal's ``line`` from ``parse_stimulus``."""
     if not terminals:
         raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
+    names: dict[str, int | None] = {}
+    for name, segs, lineno in terminals:
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise NetlistSyntaxError(f"invalid terminal name {name!r}", lineno, lineno and 1)  # column 1 if parsed
+        if name in names:
+            raise DuplicateError(f"terminal {name!r} already declared{_on(names[name])}", lineno)
+        names[name] = lineno
+        for seg in segs:
+            if seg.end <= seg.start:  # the interval quoted as ``serialize_stimulus`` writes it
+                raise NetlistSyntaxError(f"empty interval '{seg.start!r}..{seg.end!r}={seg.volts!r}'", lineno)
     terminals = [(name, tuple(sorted(segs, key=lambda s: s.start)), lineno) for name, segs, lineno in terminals]
     horizon = max((seg.end for _, segs, _ in terminals for seg in segs), default=math.nan)
     for name, segs, lineno in terminals:
@@ -158,16 +186,57 @@ def _tiled(terminals: list) -> tuple:
     return tuple((name, segs) for name, segs, _ in terminals)
 
 
+def _graph(inputs: list, nodes: list, outputs: list) -> CircuitGraph:
+    """The graph of ``(name, line)`` inputs, ``(node, line)`` gates and ``(name, target, line)`` outputs, once it
+    meets the rule of ``CircuitGraph``; a diagnostic gives the declaration's ``line`` from ``parse_circuit``."""
+    names: dict[str, int | None] = {}
+    declared = [(name, "input", lineno) for name, lineno in inputs]
+    declared += [(name, "output", lineno) for name, _, lineno in outputs]
+    for name, what, lineno in sorted(declared, key=lambda d: d[2] or 0):  # in line order, when parsed
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise NetlistSyntaxError(f"invalid {what} name {name!r}", lineno)
+        if name in names:
+            raise DuplicateError(f"name {name!r} already declared{_on(names[name])}", lineno)
+        if name == "t_ms":
+            raise DuplicateError(_RESERVED % name, lineno)
+        names[name] = lineno
+    gates: dict[int, tuple[GateNode, int | None]] = {}  # id -> (its node, its line)
+    for (gate_id, kind, sources), lineno in nodes:
+        if type(gate_id) is not int:
+            raise NetlistSyntaxError(f"gate id must be an integer, got {gate_id!r}", lineno)
+        if gate_id <= 0:
+            raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno)
+        if gate_id in gates:
+            raise DuplicateError(f"gate id {gate_id} already declared{_on(gates[gate_id][1])}", lineno)
+        if not isinstance(kind, GateKind):
+            raise NetlistSyntaxError(f"unknown gate kind {kind!r}", lineno)
+        if len(sources) != kind.arity:
+            raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(sources)}", lineno)
+        gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), lineno)
+    columns = {f"g{i}{part}" for i in gates for part in ("", "_I", "_x1", "_x2")}
+    for name, lineno in names.items():
+        if name in columns:
+            raise DuplicateError(_RESERVED % name, lineno)
+    input_names = {name for name, _ in inputs}
+    for node, lineno in gates.values():
+        for src in node.sources:
+            what, known = ("gate", gates) if type(src) is int else ("input", input_names)
+            if src not in known:
+                raise DanglingNetError(f"gate {node.id} references undeclared {what} {src!r}", lineno)
+    for name, target, lineno in outputs:
+        if type(target) is not int or target not in gates:
+            raise DanglingNetError(f"output {name!r} references undeclared gate {target}", lineno)
+    graph = tuple.__new__(CircuitGraph, (tuple(node for node, _ in gates.values()), tuple(name for name, _ in inputs),
+                                         tuple((name, target) for name, target, _ in outputs)))
+    topological_order(graph)  # rejects cycles
+    return graph
+
+
 def check_drives(graph: CircuitGraph, stimulus: Stimulus) -> None:
     """Raise ``UnknownTerminalError`` naming the first circuit input the stimulus does not drive."""
     for name in graph.inputs:
         if name not in stimulus.terminals:
             raise UnknownTerminalError(f"stimulus does not drive circuit input {name!r}")
-
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_RESERVED = ("name %r is taken by a trace column: input and probe names "
-             "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
@@ -193,37 +262,21 @@ def _column_of(line: str, token_index: int) -> int:
 
 
 def parse_circuit(text: str) -> CircuitGraph:
-    """Parse and validate a netlist, returning the circuit graph.
+    """Parse a netlist into the ``CircuitGraph`` it declares.
 
-    Raises a :class:`NetlistError` subclass with the offending line (and
-    column where it applies) on any problem: unknown syntax, duplicate
-    ids or names, arity mismatches, dangling references and cycles each
-    produce a distinct error type.  Input and probe names share the trace's
-    columns, so ``t_ms`` and the gate columns (``g1``, ``g1_I``, ``g1_x1``
-    and ``g1_x2`` when gate 1 exists) are duplicates too.
+    Any problem raises a :class:`NetlistError` subclass with the offending line (and column where it applies): unknown
+    syntax, duplicate ids or names, arity mismatches, dangling references and cycles each produce a distinct type.
     """
-    inputs: list[str] = []
-    gates: dict[int, tuple[GateNode, int]] = {}  # id -> (its node, its line)
-    outputs: list[tuple[int, str, int]] = []  # (line, probe name, target gate id)
-    seen_names: dict[str, int] = {}
-
-    def declare(name: str, what: str, lineno: int, line: str) -> None:
-        if not _NAME_RE.match(name):
-            raise NetlistSyntaxError(f"invalid {what} name {name!r}", lineno, _column_of(line, 1))
-        if name in seen_names:
-            raise DuplicateError(f"name {name!r} already declared on line {seen_names[name]}", lineno)
-        if name == "t_ms":
-            raise DuplicateError(_RESERVED % name, lineno)
-        seen_names[name] = lineno
-
+    inputs, nodes, outputs = [], [], []  # each declaration with its line, as ``_graph`` takes them
     for lineno, line in _lines(text):
         tokens = line.split()
         keyword = tokens[0]
         if keyword == "input":
             if len(tokens) != 2:
                 raise NetlistSyntaxError("expected: input <NAME>", lineno, 1)
-            declare(tokens[1], "input", lineno, line)
-            inputs.append(tokens[1])
+            if not _NAME_RE.fullmatch(tokens[1]):
+                raise NetlistSyntaxError(f"invalid input name {tokens[1]!r}", lineno, _column_of(line, 1))
+            inputs.append((tokens[1], lineno))
         elif keyword == "gate":
             if len(tokens) < 4:
                 raise NetlistSyntaxError("expected: gate <ID> <KIND> <src> [<src>]", lineno, 1)
@@ -232,59 +285,29 @@ def parse_circuit(text: str) -> CircuitGraph:
             gate_id = int(tokens[1])
             if gate_id <= 0:
                 raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno, _column_of(line, 1))
-            if gate_id in gates:
-                raise DuplicateError(f"gate id {gate_id} already declared on line {gates[gate_id][1]}", lineno)
             try:
                 kind = GateKind(tokens[2])
             except ValueError:
                 raise NetlistSyntaxError(f"unknown gate kind {tokens[2]!r}",
                                          lineno, _column_of(line, 2)) from None
-            srcs = tokens[3:]
-            if len(srcs) != kind.arity:
-                raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(srcs)}", lineno)
-            sources: list[str | int] = []
-            for i, src in enumerate(srcs):
-                if re.fullmatch(r"[0-9]+", src):
-                    sources.append(int(src))
-                elif _NAME_RE.match(src):
-                    sources.append(src)
-                else:
+            for i, src in enumerate(tokens[3:]):
+                if not (re.fullmatch(r"[0-9]+", src) or _NAME_RE.fullmatch(src)):
                     raise NetlistSyntaxError(f"invalid source {src!r}", lineno, _column_of(line, 3 + i))
-            gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), lineno)
+            nodes.append((GateNode(gate_id, kind, [int(s) if s.isdigit() else s for s in tokens[3:]]), lineno))
         elif keyword == "output":
             if len(tokens) != 3:
                 raise NetlistSyntaxError("expected: output <NAME> <ID>", lineno, 1)
-            declare(tokens[1], "output", lineno, line)
+            if not _NAME_RE.fullmatch(tokens[1]):
+                raise NetlistSyntaxError(f"invalid output name {tokens[1]!r}", lineno, _column_of(line, 1))
             if not re.fullmatch(r"[0-9]+", tokens[2]):
                 raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}",
                                          lineno, _column_of(line, 2))
-            outputs.append((lineno, tokens[1], int(tokens[2])))
+            outputs.append((tokens[1], int(tokens[2]), lineno))
         elif keyword == "format":
             raise NetlistSyntaxError("format line must come first", lineno, 1)
         else:
             raise NetlistSyntaxError(f"unknown directive {keyword!r}", lineno, 1)
-
-    # Gate columns are known only now: a gate may be declared after a name that repeats its column.
-    gate_columns = {f"g{i}{part}" for i in gates for part in ("", "_I", "_x1", "_x2")}
-    for name, lineno in seen_names.items():
-        if name in gate_columns:
-            raise DuplicateError(_RESERVED % name, lineno)
-    input_set = set(inputs)
-    for node, lineno in gates.values():
-        for src in node.sources:
-            if isinstance(src, int):
-                if src not in gates:
-                    raise DanglingNetError(f"gate {node.id} references undeclared gate {src}", lineno)
-            elif src not in input_set:
-                raise DanglingNetError(f"gate {node.id} references undeclared input {src!r}", lineno)
-    for lineno, name, target in outputs:
-        if target not in gates:
-            raise DanglingNetError(f"output {name!r} references undeclared gate {target}", lineno)
-
-    graph = CircuitGraph(tuple(node for node, _ in gates.values()), tuple(inputs),
-                         tuple((name, target) for _, name, target in outputs))
-    topological_order(graph)  # rejects cycles
-    return graph
+    return _graph(inputs, nodes, outputs)
 
 
 def topological_order(graph: CircuitGraph) -> list[int]:
@@ -328,23 +351,16 @@ _SEGMENT_RE = re.compile(r"^\s*([-0-9.eE+]+)\s*\.\.\s*([-0-9.eE+]+)\s*=\s*([-0-9
 
 
 def parse_stimulus(text: str) -> Stimulus:
-    """Parse and validate a stimulus description.
+    """Parse a stimulus description into the ``Stimulus`` it declares.
 
-    Every terminal's intervals must tile [0, horizon] exactly, where the
-    horizon is the largest end time seen anywhere in the file.  A ``bad
-    interval`` column points at the interval, or just past the ``:`` or ``,``
-    that opens a blank one.
+    A ``bad interval`` column points at the interval, or just past the ``:`` or ``,`` that opens a blank one.
     """
-    terminals: dict[str, tuple[list[Segment], int]] = {}  # name -> (its segments, its line)
+    terminals = []  # (name, its segments, its line), as ``_tiled`` takes them
     for lineno, line in _lines(text):
         if ":" not in line:
             raise NetlistSyntaxError("expected: <NAME>: <start>..<end>=<volts>, ...", lineno, 1)
         name, _, rest = line.partition(":")
         name = name.strip()
-        if not _NAME_RE.match(name):
-            raise NetlistSyntaxError(f"invalid terminal name {name!r}", lineno, 1)
-        if name in terminals:
-            raise DuplicateError(f"terminal {name!r} already declared on line {terminals[name][1]}", lineno)
         segments = []
         pieces = rest.split(",")
         for k, piece in enumerate(pieces):
@@ -362,9 +378,8 @@ def parse_stimulus(text: str) -> Stimulus:
             if end <= start:
                 raise NetlistSyntaxError(f"empty interval {piece.strip()!r}", lineno)
             segments.append(Segment(start, end, volts))
-        terminals[name] = (segments, lineno)
-
-    return Stimulus(_tiled([(name, segs, lineno) for name, (segs, lineno) in terminals.items()]))
+        terminals.append((name, segments, lineno))
+    return tuple.__new__(Stimulus, (_tiled(terminals),))  # ``_tiled`` is the check ``Stimulus`` makes
 
 
 def serialize_circuit(graph: CircuitGraph) -> str:
@@ -379,9 +394,12 @@ def serialize_circuit(graph: CircuitGraph) -> str:
 
 
 def serialize_stimulus(stim: Stimulus) -> str:
-    """Canonical text for a stimulus; parsing it back yields an equal stimulus."""
+    """Canonical text for a stimulus; parsing it back yields an equal stimulus.  The text has finite numbers only:
+    a time or level that is not finite is a ``ValueError`` naming its terminal."""
     lines = [FORMAT_LINE]
     for name, segs in stim.segments:
+        if not all(math.isfinite(x) for seg in segs for x in seg):
+            raise ValueError(f"terminal {name!r} has a time or level that is not finite, which the text cannot hold")
         body = ", ".join(f"{seg.start!r}..{seg.end!r}={seg.volts!r}" for seg in segs)
         lines.append(f"{name}: {body}")
     return "\n".join(lines) + "\n"

@@ -103,10 +103,11 @@ class TestExtendedTruthTable:
         assert read_binary(trace, "SUM", 400.0) == s_expected
         assert read_binary(trace, "COUT", 400.0) == c_expected
 
+    @pytest.mark.parametrize("build", [run_pattern, make_pattern_stimulus])
     @pytest.mark.parametrize("bits", [(2, 0, 0), (0, -1, 0), (0, 0, 3)])
-    def test_a_pattern_bit_other_than_0_or_1_is_rejected(self, bits):
+    def test_a_pattern_bit_other_than_0_or_1_is_rejected(self, build, bits):
         with pytest.raises(ValueError, match="pattern bits must be 0 or 1"):
-            run_pattern(*bits, CFG)
+            build(*bits, CFG)
 
 
 class TestMnotFloor:
@@ -209,6 +210,12 @@ class TestCharacterization:
         longer = default_characterization_schedule(kind, SimConfig(horizon=600.3))
         assert longer == parse_stimulus(text.replace("..400=", "..600.3="))
         assert default_characterization_schedule(kind, SimConfig(horizon=250.0)) == parse_stimulus(text)
+
+    def test_built_stimuli_hold_float_times_and_levels_from_an_int_config(self):
+        cfg = SimConfig(horizon=500, v_logic1=1, v_logic0=0)
+        stimuli = [make_pattern_stimulus(1, 0, 1, cfg), *(default_characterization_schedule(k, cfg) for k in GateKind)]
+        assert stimuli[0] == parse_stimulus("A: 0..100=0, 100..500=1\nB: 0..500=0\nCIN: 0..100=0, 100..500=1\n")
+        assert {type(x) for stim in stimuli for _, segs in stim.segments for seg in segs for x in seg} == {float}
 
     def test_gate_circuit_probes_its_one_gate(self):
         assert gate_circuit(GateKind.MAND) == parse_circuit("input IN1\ninput IN2\ngate 1 MAND IN1 IN2\noutput OUT 1\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -243,6 +244,20 @@ class TestStimulusConstruction:
         with pytest.raises(NetlistSyntaxError, match="stimulus declares no terminals"):
             Stimulus(())
 
+    @pytest.mark.parametrize("terminals, error, message", [
+        ((("A", (Segment(0.0, 10.0, 0.1),)), ("A", (Segment(0.0, 10.0, 0.6),))),
+         DuplicateError, "terminal 'A' already declared"),
+        ((("1A", (Segment(0.0, 10.0, 0.1),)),), NetlistSyntaxError, "invalid terminal name '1A'"),
+        ((("A\n", (Segment(0.0, 10.0, 0.1),)),), NetlistSyntaxError, "invalid terminal name 'A\\n'"),
+        (((None, (Segment(0.0, 10.0, 0.1),)),), NetlistSyntaxError, "invalid terminal name None"),
+        ((("A", (Segment(0.0, 10.0, 0.1), Segment(10.0, 5.0, 0.6))),), NetlistSyntaxError,
+         "empty interval '10.0..5.0=0.6'"),
+    ])
+    def test_terminal_names_and_empty_intervals_are_checked(self, terminals, error, message):
+        with pytest.raises(error) as exc:
+            Stimulus(terminals)
+        assert exc.value.line is None and str(exc.value) == message
+
     def test_horizon_is_read_from_the_segments_and_replace_is_checked(self):
         stim = built({"A": [(5.0, 20.0, 0.6), (0.0, 5.0, 0.1)], "B": [(0.0, 20.0, 0.1)]})
         assert stim == parse_stimulus("A: 0..5=0.1, 5..20=0.6\nB: 0..20=0.1\n")
@@ -254,6 +269,57 @@ class TestStimulusConstruction:
         assert stim._replace(segments=stim.segments[1:]).horizon_ms == 20.0
         with pytest.raises(CoverageError, match="^terminal 'A' ends at t=20.0 but the horizon is 30.0$"):
             stim._replace(segments=(*stim.segments[:1], ("B", (Segment(0.0, 30.0, 0.1),))))
+
+
+NOT_A = GateNode(1, GateKind.MNOT, ("A",))
+
+
+def graph_of(nodes=(NOT_A,), inputs=("A",), outputs=()):
+    return nodes, inputs, outputs
+
+
+class TestCircuitGraphConstruction:
+    """A hand-built ``CircuitGraph`` meets the rule that ``parse_circuit`` applies, with its diagnostics less the
+    line."""
+
+    @pytest.mark.parametrize("fields, error, message", [
+        (graph_of((GateNode(1, GateKind.MNOT, (2,)),)), DanglingNetError, "gate 1 references undeclared gate 2"),
+        (graph_of((GateNode(1, GateKind.MOR, ("A",)),)), ArityError, "MOR takes 2 input(s), got 1"),
+        (graph_of((NOT_A, NOT_A)), DuplicateError, "gate id 1 already declared"),
+        (graph_of(outputs=(("S", 5),)), DanglingNetError, "output 'S' references undeclared gate 5"),
+        (graph_of((GateNode(1, GateKind.MOR, ("A", "B")),)), DanglingNetError,
+         "gate 1 references undeclared input 'B'"),
+        (graph_of(outputs=(("g1", 1),)), DuplicateError, "name 'g1' is taken"),
+        (graph_of(inputs=("A", "t_ms")), DuplicateError, "name 't_ms' is taken"),
+        (graph_of(inputs=("A", "A")), DuplicateError, "name 'A' already declared"),
+        (graph_of(inputs=("A", "1A")), NetlistSyntaxError, "invalid input name '1A'"),
+        (graph_of(outputs=((2, 1),)), NetlistSyntaxError, "invalid output name 2"),
+        (graph_of((GateNode(1, "MNOT", ("A",)),)), NetlistSyntaxError, "unknown gate kind 'MNOT'"),
+        (graph_of((GateNode(0, GateKind.MNOT, ("A",)),)), NetlistSyntaxError, "gate id must be positive, got 0"),
+        (graph_of((GateNode(True, GateKind.MNOT, ("A",)),)), NetlistSyntaxError,
+         "gate id must be an integer, got True"),
+        (graph_of((NOT_A, GateNode(2, GateKind.MNOT, (True,)))), DanglingNetError,
+         "gate 2 references undeclared input True"),
+        (graph_of(outputs=(("S", 1.0),)), DanglingNetError, "output 'S' references undeclared gate 1.0"),
+        (graph_of((GateNode(1, GateKind.MOR, (2, "A")), GateNode(2, GateKind.MNOT, (1,)))),
+         CycleError, "circuit contains a feedback loop through gate 1"),
+    ])
+    def test_a_faulty_graph_is_refused_when_built(self, fields, error, message):
+        with pytest.raises(error) as exc:
+            CircuitGraph(*fields)
+        assert type(exc.value) is error and exc.value.line is None
+        assert str(exc.value).startswith(message) and "line" not in str(exc.value)
+
+    def test_fields_are_stored_as_tuples_and_replace_and_make_are_checked(self):
+        graph = CircuitGraph([GateNode(1, GateKind.MOR, ["A", "B"])], ["A", "B"], [["S", 1]])
+        assert graph == parse_circuit(MINIMAL)
+        assert type(graph.nodes) is type(graph.inputs) is type(graph.outputs) is type(graph.outputs[0]) is tuple
+        assert type(graph.nodes[0]) is GateNode and type(graph.nodes[0].sources) is tuple
+        assert CircuitGraph._make(graph) == graph
+        with pytest.raises(DanglingNetError, match="^output 'S' references undeclared gate 9$"):
+            graph._replace(outputs=(("S", 9),))
+        with pytest.raises(DanglingNetError, match="^gate 1 references undeclared input 'B'$"):
+            CircuitGraph._make((graph.nodes, ("A",), ()))
 
 
 class TestRoundTrip:
@@ -292,6 +358,13 @@ def stimuli(draw):
 @settings(max_examples=100)
 def test_serialized_stimulus_parses_back_equal(stim):
     assert parse_stimulus(serialize_stimulus(stim)) == stim
+
+
+@pytest.mark.parametrize("end, volts", [(400.0, math.nan), (400.0, -math.inf), (math.inf, 0.1)])
+def test_a_stimulus_with_a_value_that_is_not_finite_has_no_text(end, volts):
+    stim = Stimulus((("A", (Segment(0.0, 200.0, 0.1), Segment(200.0, end, volts))), ("B", (Segment(0.0, end, 0.1),))))
+    with pytest.raises(ValueError, match="^terminal 'A' has a time or level that is not finite"):
+        serialize_stimulus(stim)
 
 
 def reference_topological_order(graph):
@@ -338,8 +411,13 @@ def check_named_loop_gate(graph, message):
     assert named in seen, f"gate {named} is not the earliest declared gate of a loop in {graph}"
 
 
+def unchecked(cls, *fields):
+    """A ``CircuitGraph`` or ``Stimulus`` of these fields with no check made, for the oracle and ``serialize_*``."""
+    return tuple.__new__(cls, fields)
+
+
 @st.composite
-def gate_graphs(draw, acyclic):
+def gate_nodes(draw, acyclic):
     """Gates with distinct drawn ids, declared in shuffled order.  An acyclic graph's gates draw their gate sources
     from gates earlier in a hidden rank; otherwise from any gate, themselves included."""
     ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
@@ -349,12 +427,13 @@ def gate_graphs(draw, acyclic):
         kind = draw(st.sampled_from(GateKind))
         source = st.sampled_from(["A", *drivers])
         nodes.append(GateNode(gate_id, kind, tuple(draw(source) for _ in range(kind.arity))))
-    return CircuitGraph(tuple(draw(st.permutations(nodes))), ("A",), ())
+    return tuple(draw(st.permutations(nodes)))
 
 
-@given(gate_graphs(acyclic=True))
+@given(gate_nodes(acyclic=True))
 @settings(max_examples=300)
-def test_topological_order_of_a_dag_matches_the_resorting_oracle(graph):
+def test_topological_order_of_a_dag_matches_the_resorting_oracle(nodes):
+    graph = CircuitGraph(nodes, ("A",), ())
     order = topological_order(graph)
     assert order == reference_topological_order(graph)
     position = {gate_id: k for k, gate_id in enumerate(order)}
@@ -363,26 +442,130 @@ def test_topological_order_of_a_dag_matches_the_resorting_oracle(graph):
     assert parse_circuit(serialize_circuit(graph)) == graph
 
 
-@given(gate_graphs(acyclic=False))
-@example(CircuitGraph((GateNode(1, GateKind.MOR, (3, "A")), GateNode(2, GateKind.MOR, (3, "A")),
-                       GateNode(3, GateKind.MNOT, (2,))), ("A",), ()))
-@example(CircuitGraph((GateNode(1, GateKind.MOR, (2, "A")), GateNode(2, GateKind.MAND, (3, "A")),
-                       GateNode(3, GateKind.MOR, (2, "A"))), ("A",), ()))
+@given(gate_nodes(acyclic=False))
+@example((GateNode(1, GateKind.MOR, (3, "A")), GateNode(2, GateKind.MOR, (3, "A")),
+          GateNode(3, GateKind.MNOT, (2,))))
+@example((GateNode(1, GateKind.MOR, (2, "A")), GateNode(2, GateKind.MAND, (3, "A")),
+          GateNode(3, GateKind.MOR, (2, "A"))))
 @settings(max_examples=300)
-def test_topological_order_of_any_graph_matches_the_resorting_oracle(graph):
+def test_topological_order_of_any_graph_matches_the_resorting_oracle(nodes):
+    graph = unchecked(CircuitGraph, nodes, ("A",), ())
     try:
         expected = reference_topological_order(graph)
     except CycleError as exc:
         messages = []
-        for order in (topological_order, lambda g: parse_circuit(serialize_circuit(g))):
+        for build in (lambda: CircuitGraph(nodes, ("A",), ()), lambda: parse_circuit(serialize_circuit(graph))):
             with pytest.raises(CycleError) as got:
-                order(graph)
+                build()
             assert str(got.value).startswith(str(exc))
             messages.append(str(got.value))
         assert messages[0] == messages[1]
         check_named_loop_gate(graph, messages[0])
     else:
-        assert topological_order(graph) == expected
+        assert topological_order(CircuitGraph(nodes, ("A",), ())) == expected
+
+
+def unlocated(exc):
+    """A diagnostic's message less its location: the leading line and column, and a trailing ``on line N``."""
+    return re.sub(r"^line \d+(, column \d+)?: | on line \d+$", "", str(exc))
+
+
+def assert_built_exactly_when_parsed(cls, fields, parse, serialize):
+    """``cls(*fields)`` is built exactly when ``parse`` accepts its text, and then equals it and round-trips; else
+    both raise the same type with the same message, less the location, which the hand-built one lacks."""
+    try:
+        parsed = parse(serialize(unchecked(cls, *fields)))
+    except NetlistError as exc:
+        with pytest.raises(NetlistError) as built:
+            cls(*fields)
+        assert type(built.value) is type(exc)
+        assert built.value.line is None and str(built.value) == unlocated(exc)
+    else:
+        assert cls(*fields) == parsed
+        assert parse(serialize(parsed)) == parsed
+
+
+NAMES = st.from_regex(r"[A-Z][A-Za-z0-9_]{0,4}", fullmatch=True)  # never t_ms or a gate column
+INVALID_NAMES = st.sampled_from(["9x", "a-b", "\u00e9", "A.B"])  # each one token of text
+
+
+@st.composite
+def drawn_graphs(draw):
+    """The fields of a valid graph, or of one with a single fault that ``parse_circuit`` or ``CircuitGraph`` refuses:
+    a bad or repeated gate id, an arity of sources off by one, a dangling source or output, a repeated, reserved or
+    invalid name, or a feedback loop."""
+    names = draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
+    inputs, probes = names[:draw(st.integers(1, len(names) - 1))], names
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
+    nodes = [GateNode(gate_id, draw(st.sampled_from(GateKind)), []) for gate_id in ids]
+    for rank, node in enumerate(nodes):
+        node.sources.extend(draw(st.sampled_from([*inputs, *(n.id for n in nodes[:rank])]))
+                            for _ in range(node.kind.arity))
+    outputs = [(name, draw(st.sampled_from([n.id for n in nodes]))) for name in probes[len(inputs):]]
+    fault = draw(st.sampled_from(["none", "id", "repeated id", "arity", "dangling gate", "dangling input",
+                                  "dangling output", "repeated name", "reserved name", "invalid name", "loop"]))
+    node = draw(st.sampled_from(nodes))
+    if fault == "id":
+        nodes[nodes.index(node)] = node._replace(id=draw(st.sampled_from([0, -3, "x", "x1"])))
+    elif fault == "repeated id":
+        nodes.append(node)
+    elif fault == "arity" and (len(node.sources) == 1 or draw(st.booleans())):
+        node.sources.append(inputs[0])
+    elif fault == "arity":
+        node.sources.pop()
+    elif fault == "dangling gate":
+        node.sources[-1] = 99
+    elif fault == "dangling input":
+        node.sources[0] = "Undeclared"
+    elif fault == "dangling output":
+        outputs.append(("Undeclared", 99))
+    elif fault == "repeated name":
+        inputs.append(draw(st.sampled_from(probes)))
+    elif fault == "reserved name":
+        outputs.append((draw(st.sampled_from(["t_ms", f"g{node.id}", f"g{node.id}_I", f"g{node.id}_x2"])), node.id))
+    elif fault == "invalid name" and draw(st.booleans()):
+        inputs.append(draw(INVALID_NAMES))
+    elif fault == "invalid name":
+        outputs.append((draw(INVALID_NAMES), node.id))
+    elif fault == "loop":  # the node and a later one read each other
+        later = draw(st.sampled_from(nodes[nodes.index(node):]))
+        node.sources[0], later.sources[0] = later.id, node.id
+    return [node._replace(sources=tuple(node.sources)) for node in nodes], inputs, outputs
+
+
+@st.composite
+def drawn_stimuli(draw):
+    """The terminals of a valid stimulus, or of one with a single fault: a repeated or invalid terminal name, an
+    empty, overlapping or missing interval, or a terminal that ends off the horizon."""
+    terminals = [(name, list(segs)) for name, segs in draw(stimuli()).segments]
+    fault = draw(st.sampled_from(["none", "repeated name", "invalid name", "empty", "overlap", "missing", "short"]))
+    name, segs = draw(st.sampled_from(terminals))
+    if fault == "repeated name":
+        terminals.append((name, segs))
+    elif fault == "invalid name":
+        terminals.append((draw(INVALID_NAMES), segs))
+    elif fault == "empty":
+        seg = draw(st.sampled_from(segs))
+        segs.append(seg._replace(start=seg.end, end=draw(st.sampled_from([seg.start, seg.end]))))
+    elif fault == "overlap":
+        segs.append(draw(st.sampled_from(segs)))
+    elif fault == "missing" and len(segs) > 1:
+        segs.remove(draw(st.sampled_from(segs)))
+    elif fault == "short":
+        segs[-1] = segs[-1]._replace(end=segs[-1].start / 2 + segs[-1].end / 2)
+    return (tuple((name, tuple(segs)) for name, segs in terminals),)
+
+
+@given(drawn_graphs())
+@settings(max_examples=300)
+def test_a_hand_built_graph_is_built_exactly_when_its_text_parses(fields):
+    assert_built_exactly_when_parsed(CircuitGraph, fields, parse_circuit, serialize_circuit)
+
+
+@given(drawn_stimuli())
+@settings(max_examples=300)
+def test_a_hand_built_stimulus_is_built_exactly_when_its_text_parses(fields):
+    assert_built_exactly_when_parsed(Stimulus, fields, parse_stimulus, serialize_stimulus)
 
 
 FUZZ_TOKENS = [
