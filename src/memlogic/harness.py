@@ -27,7 +27,7 @@ def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
-        except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; its lines count as ``_lines`` counts them
+        except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; ``_lines`` counts lines by ``splitlines``
             raise NetlistSyntaxError(f"{path!r} is not UTF-8: {exc.reason}",
                                      len((exc.object[:exc.start].decode() + ".").splitlines())) from None
 

@@ -1,7 +1,7 @@
 """Parsing of circuit and stimulus descriptions, and the types that validate them.
 
 Both formats are line oriented, UTF-8, with ``#`` starting a comment and
-an optional leading ``format memlogic/1`` version line.
+an optional first line ``format memlogic/1``: a line whose first word is ``format`` must be that line.
 
 Netlist grammar::
 
@@ -18,8 +18,8 @@ Stimulus grammar::
 
 with times in milliseconds.  Intervals per terminal must tile [0, horizon]
 without gaps or overlaps, where the horizon is the largest end time in
-the file.  The parsers check only what the text can get wrong; the ``CircuitGraph``
-and ``Stimulus`` constructors check the rest, for parsed and hand-built values alike.
+the file.  The parsers check only the spelling of tokens; the ``CircuitGraph`` and ``Stimulus``
+constructors check the rest, for parsed and hand-built values alike, at the token's line and column when parsed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import re
 from bisect import insort
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .gates import GateKind
 
@@ -97,13 +98,15 @@ class CircuitGraph(namedtuple("CircuitGraph", "nodes inputs outputs")):
     in declaration order.  Construction, ``_replace`` included, checks that gate ids are distinct positive ``int``s,
     each kind a ``GateKind`` with its arity of sources, each source and output target declared, the graph acyclic, and
     input and probe names valid, distinct and no trace column (``t_ms``, or ``g1``, ``g1_I``, ``g1_x1`` or ``g1_x2``
-    when gate 1 exists).
+    when gate 1 exists).  A ``str`` as the inputs or as a gate's sources is refused, not split into letters.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, nodes, inputs, outputs):
+        if isinstance(inputs, str):
+            raise NetlistSyntaxError(f"inputs must be a sequence of names, not the str {inputs!r}")
         return _graph([(name, None) for name in inputs], [(node, None) for node in nodes],
                       [(name, target, None) for name, target in outputs])
 
@@ -149,83 +152,103 @@ class Stimulus(namedtuple("Stimulus", "segments")):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # matched with ``fullmatch``
 _RESERVED = ("name %r is taken by a trace column: input and probe names "
              "must not be t_ms or a gate column such as g1, g1_I, g1_x1 or g1_x2")
+_KINDS = {kind.value: kind for kind in GateKind}  # each kind by its spelling in a netlist
+_WORDS = re.compile(r"\S+")  # a netlist line's tokens
+# Each netlist keyword's usage, and the fewest and most tokens of its line.
+_DIRECTIVES = {"input": ("input <NAME>", 2, 2), "gate": ("gate <ID> <KIND> <src> [<src>]", 4, math.inf),
+               "output": ("output <NAME> <ID>", 3, 3)}
+_FIELDS = re.compile(r"^[^:]*:?|(?<=[:,])[^,]*")  # a stimulus line's name with its ":", then each interval
+_DIGITS = re.compile(r"[0-9]+")  # an id as a source or target: ``int`` would take "+1", "1_0" or non-ASCII digits
+_SEGMENT_RE = re.compile(r"([-0-9.eE+]+)\s*\.\.\s*([-0-9.eE+]+)\s*=\s*([-0-9.eE+]+)")  # matched with ``fullmatch``
 
 
-def _on(line: int | None) -> str:
-    return "" if line is None else f" on line {line}"
+def _at(where: tuple | None, token: int | None = None) -> tuple:
+    """(line, column) of a diagnostic at a ``where`` from ``_lines``: its line number and, if ``token`` is named, the
+    1-based column where that token's text starts, or where its match starts if it is blank."""
+    if where is None or token is None:
+        return None if where is None else where[0], None
+    match = [*where[2].finditer(where[1])][token]
+    return where[0], match.start() + match[0].find(match[0].strip()) + 1
+
+
+def _on(where: tuple | None) -> str:
+    return "" if where is None else f" on line {where[0]}"
+
+
+def _names(declared: list, noun: str, reserved: tuple = ()) -> dict:
+    """Each name of the ``(name, what, where, token)`` declarations, taken in line order, with its ``where``, once each
+    is valid, new and not ``reserved``; ``token`` is the name's place on its line, and a repeat is a ``noun``."""
+    names: dict = {}
+    for name, what, where, token in sorted(declared, key=lambda d: _at(d[2])[0] or 0):
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise NetlistSyntaxError(f"invalid {what} name {name!r}", *_at(where, token))
+        if name in names:
+            raise DuplicateError(f"{noun} {name!r} already declared{_on(names[name])}", *_at(where))
+        if name in reserved:
+            raise DuplicateError(_RESERVED % name, *_at(where))
+        names[name] = where
+    return names
 
 
 def _tiled(terminals: list) -> tuple:
-    """``(name, segments, line)`` terminals as ``(name, segments)`` pairs, each terminal's segments sorted by start,
-    once they meet the rule of ``Stimulus``; a diagnostic gives the terminal's ``line`` from ``parse_stimulus``."""
+    """``(name, segments, where)`` terminals as ``(name, segments)`` pairs, each terminal's segments sorted by start,
+    once they meet the rule of ``Stimulus``; a diagnostic gives the ``where`` from ``parse_stimulus``."""
     if not terminals:
         raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
-    names: dict[str, int | None] = {}
-    for name, segs, lineno in terminals:
-        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-            raise NetlistSyntaxError(f"invalid terminal name {name!r}", lineno, lineno and 1)  # column 1 if parsed
-        if name in names:
-            raise DuplicateError(f"terminal {name!r} already declared{_on(names[name])}", lineno)
-        names[name] = lineno
-        for seg in segs:
+    _names([(name, "terminal", where, 0) for name, _, where in terminals], "terminal")
+    for _, segs, where in terminals:
+        for k, seg in enumerate(segs, start=1):  # the k-th interval is the line's k-th token after the name
             if seg.end <= seg.start:  # the interval quoted as ``serialize_stimulus`` writes it
-                raise NetlistSyntaxError(f"empty interval '{seg.start!r}..{seg.end!r}={seg.volts!r}'", lineno)
-    terminals = [(name, tuple(sorted(segs, key=lambda s: s.start)), lineno) for name, segs, lineno in terminals]
+                raise NetlistSyntaxError(f"empty interval '{seg.start!r}..{seg.end!r}={seg.volts!r}'", *_at(where, k))
+    terminals = [(name, tuple(sorted(segs, key=lambda s: s.start)), where) for name, segs, where in terminals]
     horizon = max((seg.end for _, segs, _ in terminals for seg in segs), default=math.nan)
-    for name, segs, lineno in terminals:
+    for name, segs, where in terminals:
         cursor = 0.0
         for seg in segs:
             if seg.start < cursor:
                 raise OverlapError(f"terminal {name!r}: interval {seg.start}..{seg.end} overlaps the previous one",
-                                   lineno)
+                                   *_at(where))
             if seg.start != cursor:  # a gap, or a NaN start
-                raise CoverageError(f"terminal {name!r}: gap between t={cursor} and t={seg.start}", lineno)
+                raise CoverageError(f"terminal {name!r}: gap between t={cursor} and t={seg.start}", *_at(where))
             cursor = seg.end
         if cursor != horizon:
-            raise CoverageError(f"terminal {name!r} ends at t={cursor} but the horizon is {horizon}", lineno)
+            raise CoverageError(f"terminal {name!r} ends at t={cursor} but the horizon is {horizon}", *_at(where))
     return tuple((name, segs) for name, segs, _ in terminals)
 
 
 def _graph(inputs: list, nodes: list, outputs: list) -> CircuitGraph:
-    """The graph of ``(name, line)`` inputs, ``(node, line)`` gates and ``(name, target, line)`` outputs, once it
-    meets the rule of ``CircuitGraph``; a diagnostic gives the declaration's ``line`` from ``parse_circuit``."""
-    names: dict[str, int | None] = {}
-    declared = [(name, "input", lineno) for name, lineno in inputs]
-    declared += [(name, "output", lineno) for name, _, lineno in outputs]
-    for name, what, lineno in sorted(declared, key=lambda d: d[2] or 0):  # in line order, when parsed
-        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-            raise NetlistSyntaxError(f"invalid {what} name {name!r}", lineno)
-        if name in names:
-            raise DuplicateError(f"name {name!r} already declared{_on(names[name])}", lineno)
-        if name == "t_ms":
-            raise DuplicateError(_RESERVED % name, lineno)
-        names[name] = lineno
-    gates: dict[int, tuple[GateNode, int | None]] = {}  # id -> (its node, its line)
-    for (gate_id, kind, sources), lineno in nodes:
+    """The graph of ``(name, where)`` inputs, ``(node, where)`` gates and ``(name, target, where)`` outputs, once it
+    meets the rule of ``CircuitGraph``; a diagnostic gives the ``where`` from ``parse_circuit``."""
+    names = _names([(name, "input", where, 1) for name, where in inputs]
+                   + [(name, "output", where, 1) for name, _, where in outputs], "name", ("t_ms",))
+    gates: dict = {}  # id -> (its node, its where)
+    for (gate_id, kind, sources), where in nodes:
         if type(gate_id) is not int:
-            raise NetlistSyntaxError(f"gate id must be an integer, got {gate_id!r}", lineno)
+            raise NetlistSyntaxError(f"gate id must be an integer, got {gate_id!r}", *_at(where, 1))
         if gate_id <= 0:
-            raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno)
+            raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", *_at(where, 1))
         if gate_id in gates:
-            raise DuplicateError(f"gate id {gate_id} already declared{_on(gates[gate_id][1])}", lineno)
+            raise DuplicateError(f"gate id {gate_id} already declared{_on(gates[gate_id][1])}", *_at(where))
         if not isinstance(kind, GateKind):
-            raise NetlistSyntaxError(f"unknown gate kind {kind!r}", lineno)
+            raise NetlistSyntaxError(f"unknown gate kind {kind!r}", *_at(where, 2))
+        if isinstance(sources, str):
+            raise NetlistSyntaxError(f"gate {gate_id} sources must be a sequence, not the str {sources!r}")
         if len(sources) != kind.arity:
-            raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(sources)}", lineno)
-        gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), lineno)
+            raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(sources)}", *_at(where))
+        gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), where)
     columns = {f"g{i}{part}" for i in gates for part in ("", "_I", "_x1", "_x2")}
-    for name, lineno in names.items():
+    for name, where in names.items():
         if name in columns:
-            raise DuplicateError(_RESERVED % name, lineno)
+            raise DuplicateError(_RESERVED % name, *_at(where))
     input_names = {name for name, _ in inputs}
-    for node, lineno in gates.values():
+    for node, where in gates.values():
         for src in node.sources:
             what, known = ("gate", gates) if type(src) is int else ("input", input_names)
             if src not in known:
-                raise DanglingNetError(f"gate {node.id} references undeclared {what} {src!r}", lineno)
-    for name, target, lineno in outputs:
+                raise DanglingNetError(f"gate {node.id} references undeclared {what} {src!r}", *_at(where))
+    for name, target, where in outputs:
         if type(target) is not int or target not in gates:
-            raise DanglingNetError(f"output {name!r} references undeclared gate {target}", lineno)
+            raise DanglingNetError(f"output {name!r} references undeclared gate {target}", *_at(where))
     graph = tuple.__new__(CircuitGraph, (tuple(node for node, _ in gates.values()), tuple(name for name, _ in inputs),
                                          tuple((name, target) for name, target, _ in outputs)))
     topological_order(graph)  # rejects cycles
@@ -239,26 +262,21 @@ def check_drives(graph: CircuitGraph, stimulus: Stimulus) -> None:
             raise UnknownTerminalError(f"stimulus does not drive circuit input {name!r}")
 
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    """(line number, content) of each line with more than a comment, cut at ``#`` and stripped on the right.
-
-    A leading ``format`` line is left out, and any but ``format memlogic/1`` is a ``NetlistSyntaxError``.
-    """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if stripped.strip():
-            lines.append((lineno, stripped))
-    if lines and lines[0][1].strip().startswith("format"):
-        lineno, content = lines.pop(0)
-        if content.strip() != FORMAT_LINE:
-            raise NetlistSyntaxError(f"unsupported format {content.strip()!r}", lineno, 1)
-    return lines
-
-
-def _column_of(line: str, token_index: int) -> int:
-    # 1-based column of the token_index-th whitespace-separated token, which the caller knows exists
-    return [m.start() for m in re.finditer(r"\S+", line)][token_index] + 1
+def _lines(text: str, tokens: re.Pattern) -> Iterator[tuple[tuple, list]]:
+    """Yield ``(where, words)`` for each line with more than a comment, cut at ``#``: the ``tokens`` matches, stripped,
+    and a ``where`` of the line number, the line and ``tokens``, from which ``_at`` finds a word's column.  A line
+    whose first word is ``format`` is left out: it must come first and read ``format memlogic/1``."""
+    significant = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+                   if (line := raw.split("#", 1)[0].rstrip()).strip()]
+    for k, (lineno, line) in enumerate(significant):
+        where = (lineno, line, tokens)
+        words = [word.strip() for word in tokens.findall(line)]
+        if words[0].split()[0] != "format":  # a stimulus line's first token may hold spaces
+            yield where, words
+        elif k:
+            raise NetlistSyntaxError("format line must come first", *_at(where, 0))
+        elif line.strip() != FORMAT_LINE:
+            raise NetlistSyntaxError(f"unsupported format {line.strip()!r}", *_at(where, 0))
 
 
 def parse_circuit(text: str) -> CircuitGraph:
@@ -267,46 +285,27 @@ def parse_circuit(text: str) -> CircuitGraph:
     Any problem raises a :class:`NetlistError` subclass with the offending line (and column where it applies): unknown
     syntax, duplicate ids or names, arity mismatches, dangling references and cycles each produce a distinct type.
     """
-    inputs, nodes, outputs = [], [], []  # each declaration with its line, as ``_graph`` takes them
-    for lineno, line in _lines(text):
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "input":
-            if len(tokens) != 2:
-                raise NetlistSyntaxError("expected: input <NAME>", lineno, 1)
-            if not _NAME_RE.fullmatch(tokens[1]):
-                raise NetlistSyntaxError(f"invalid input name {tokens[1]!r}", lineno, _column_of(line, 1))
-            inputs.append((tokens[1], lineno))
-        elif keyword == "gate":
-            if len(tokens) < 4:
-                raise NetlistSyntaxError("expected: gate <ID> <KIND> <src> [<src>]", lineno, 1)
-            if not re.fullmatch(r"-?[0-9]+", tokens[1]):  # ``int`` would also take "+1", "1_0" and non-ASCII digits
-                raise NetlistSyntaxError(f"gate id must be an integer, got {tokens[1]!r}", lineno, _column_of(line, 1))
-            gate_id = int(tokens[1])
-            if gate_id <= 0:
-                raise NetlistSyntaxError(f"gate id must be positive, got {gate_id}", lineno, _column_of(line, 1))
-            try:
-                kind = GateKind(tokens[2])
-            except ValueError:
-                raise NetlistSyntaxError(f"unknown gate kind {tokens[2]!r}",
-                                         lineno, _column_of(line, 2)) from None
-            for i, src in enumerate(tokens[3:]):
-                if not (re.fullmatch(r"[0-9]+", src) or _NAME_RE.fullmatch(src)):
-                    raise NetlistSyntaxError(f"invalid source {src!r}", lineno, _column_of(line, 3 + i))
-            nodes.append((GateNode(gate_id, kind, [int(s) if s.isdigit() else s for s in tokens[3:]]), lineno))
-        elif keyword == "output":
-            if len(tokens) != 3:
-                raise NetlistSyntaxError("expected: output <NAME> <ID>", lineno, 1)
-            if not _NAME_RE.fullmatch(tokens[1]):
-                raise NetlistSyntaxError(f"invalid output name {tokens[1]!r}", lineno, _column_of(line, 1))
-            if not re.fullmatch(r"[0-9]+", tokens[2]):
-                raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}",
-                                         lineno, _column_of(line, 2))
-            outputs.append((tokens[1], int(tokens[2]), lineno))
-        elif keyword == "format":
-            raise NetlistSyntaxError("format line must come first", lineno, 1)
+    inputs, nodes, outputs = [], [], []  # each declaration with its where, as ``_graph`` takes them
+    for where, tokens in _lines(text, _WORDS):
+        if tokens[0] not in _DIRECTIVES:
+            raise NetlistSyntaxError(f"unknown directive {tokens[0]!r}", *_at(where, 0))
+        usage, fewest, most = _DIRECTIVES[tokens[0]]
+        if not fewest <= len(tokens) <= most:
+            raise NetlistSyntaxError(f"expected: {usage}", *_at(where, 0))
+        if tokens[0] == "input":
+            inputs.append((tokens[1], where))
+        elif tokens[0] == "gate":
+            for k, src in enumerate(tokens[3:], start=3):
+                if not (_DIGITS.fullmatch(src) or _NAME_RE.fullmatch(src)):
+                    raise NetlistSyntaxError(f"invalid source {src!r}", *_at(where, k))
+            # An id or kind that is no integer or ``GateKind`` stays a str, for ``_graph`` to refuse.
+            gate_id = int(tokens[1]) if _DIGITS.fullmatch(tokens[1].removeprefix("-")) else tokens[1]
+            kind = _KINDS.get(tokens[2], tokens[2])
+            nodes.append((GateNode(gate_id, kind, [int(s) if s.isdigit() else s for s in tokens[3:]]), where))
         else:
-            raise NetlistSyntaxError(f"unknown directive {keyword!r}", lineno, 1)
+            if not _DIGITS.fullmatch(tokens[2]):
+                raise NetlistSyntaxError(f"output target must be a gate id, got {tokens[2]!r}", *_at(where, 2))
+            outputs.append((tokens[1], int(tokens[2]), where))
     return _graph(inputs, nodes, outputs)
 
 
@@ -347,38 +346,28 @@ def topological_order(graph: CircuitGraph) -> list[int]:
     return order
 
 
-_SEGMENT_RE = re.compile(r"^\s*([-0-9.eE+]+)\s*\.\.\s*([-0-9.eE+]+)\s*=\s*([-0-9.eE+]+)\s*$")
-
-
 def parse_stimulus(text: str) -> Stimulus:
     """Parse a stimulus description into the ``Stimulus`` it declares.
 
     A ``bad interval`` column points at the interval, or just past the ``:`` or ``,`` that opens a blank one.
     """
-    terminals = []  # (name, its segments, its line), as ``_tiled`` takes them
-    for lineno, line in _lines(text):
-        if ":" not in line:
-            raise NetlistSyntaxError("expected: <NAME>: <start>..<end>=<volts>, ...", lineno, 1)
-        name, _, rest = line.partition(":")
-        name = name.strip()
+    terminals = []  # (name, its segments, its where), as ``_tiled`` takes them
+    for where, (name, *intervals) in _lines(text, _FIELDS):
+        if not name.endswith(":"):
+            raise NetlistSyntaxError("expected: <NAME>: <start>..<end>=<volts>, ...", *_at(where, 0))
         segments = []
-        pieces = rest.split(",")
-        for k, piece in enumerate(pieces):
-            m = _SEGMENT_RE.match(piece)
+        for k, interval in enumerate(intervals, start=1):
+            m = _SEGMENT_RE.fullmatch(interval)
             if not m:
-                tail = ",".join(pieces[k:])  # the line from just past the piece's ":" or ","
-                column = len(line) - len(tail.lstrip() if piece.strip() else tail) + 1
-                raise NetlistSyntaxError(f"bad interval {piece.strip()!r}", lineno, column)
+                raise NetlistSyntaxError(f"bad interval {interval!r}", *_at(where, k))
             try:
-                start, end, volts = (float(m.group(i)) for i in (1, 2, 3))
+                segment = Segment(*map(float, m.groups()))
             except ValueError:
-                raise NetlistSyntaxError(f"bad number in interval {piece.strip()!r}", lineno) from None
-            if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(volts)):
-                raise NetlistSyntaxError(f"non-finite value in interval {piece.strip()!r}", lineno)
-            if end <= start:
-                raise NetlistSyntaxError(f"empty interval {piece.strip()!r}", lineno)
-            segments.append(Segment(start, end, volts))
-        terminals.append((name, segments, lineno))
+                raise NetlistSyntaxError(f"bad number in interval {interval!r}", *_at(where)) from None
+            if not all(map(math.isfinite, segment)):
+                raise NetlistSyntaxError(f"non-finite value in interval {interval!r}", *_at(where))
+            segments.append(segment)
+        terminals.append((name[:-1].rstrip(), segments, where))
     return tuple.__new__(Stimulus, (_tiled(terminals),))  # ``_tiled`` is the check ``Stimulus`` makes
 
 

@@ -217,6 +217,8 @@ GOLDEN_CIRCUIT_DIAGNOSTICS = {
     "15_non_ascii_source.mlc": "error: line 3, column 15: invalid source '\u0661\u0660'",
     # Gate 1 reads the loop 2 <-> 3 but is not on it.
     "16_cycle_off_loop.mlc": "error: circuit contains a feedback loop through gate 2",
+    # Only a first word that is ``format`` makes a format line.
+    "17_format_prefix.mlc": "error: line 1, column 1: unknown directive 'formats'",
 }
 
 
@@ -240,6 +242,12 @@ def test_check_prints_the_golden_diagnostic_of_a_malformed_netlist(capsys, name)
     ("A: 0..100=0.1, 0..1\n", "line 1, column 16: bad interval '0..1'"),
     ("A: 0..400=0.1\nB: 0..400=0.1\n# again\nA: 0..400=0.6\n", "line 4: terminal 'A' already declared on line 1"),
     ("A: 0..1e309=0.1\n", "line 1: non-finite value in interval '0..1e309=0.1'"),
+    # An empty interval is quoted as ``serialize_stimulus`` writes it, at its column.
+    ("A: 100..100=0.1\n", "line 1, column 4: empty interval '100.0..100.0=0.1'"),
+    # A name's column is where it starts, past any indent.
+    ("  1A: 0..400=0.1\n", "line 1, column 3: invalid terminal name '1A'"),
+    # A first terminal whose name begins with "format" is a terminal.
+    ("formats: 0..400=0.1\nformats: 0..400=0.6\n", "line 2: terminal 'formats' already declared on line 1"),
 ])
 def test_check_prints_the_golden_diagnostic_of_a_malformed_stimulus(tmp_path, capsys, text, diagnostic):
     bad = tmp_path / "bad.mls"

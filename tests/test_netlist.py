@@ -1,8 +1,10 @@
 """Netlist and stimulus parsing: happy paths, diagnostics, round trips."""
 
+import ast
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -110,6 +112,19 @@ class TestParseCircuit:
         with pytest.raises(NetlistSyntaxError):
             parse_circuit("format memlogic/2\n" + MINIMAL)
 
+    def test_a_first_word_that_only_begins_with_format_is_a_directive(self):
+        with pytest.raises(NetlistSyntaxError) as exc:
+            parse_circuit("formats A\n" + MINIMAL)
+        assert str(exc.value) == "line 1, column 1: unknown directive 'formats'"
+
+    def test_a_second_format_line_is_refused(self):
+        with pytest.raises(NetlistSyntaxError, match="^line 2, column 1: format line must come first$"):
+            parse_circuit("format memlogic/1\nformat memlogic/1\n" + MINIMAL)
+
+    def test_a_reserved_name_is_refused_where_it_is_first_declared(self):
+        with pytest.raises(DuplicateError, match="^line 1: name 't_ms' is taken by a trace column"):
+            parse_circuit("input t_ms\ninput t_ms\n" + MINIMAL)
+
     def test_syntax_error_has_column(self):
         with pytest.raises(NetlistSyntaxError) as exc:
             parse_circuit("input A\ninput B\ngate x MOR A B\n")
@@ -188,6 +203,10 @@ class TestParseStimulus:
     def test_unsorted_segments_accepted(self):
         stim = parse_stimulus("A: 100..400=0.6, 0..100=0.1\n")
         assert stim.value_at("A", 50.0) == 0.1
+
+    def test_a_first_terminal_whose_name_begins_with_format_parses(self):
+        assert parse_stimulus("formats: 0..400=0.1\n").terminals == ("formats",)
+        assert parse_stimulus("format memlogic/1\nformats: 0..400=0.1\n").terminals == ("formats",)
 
 
 # A stimulus text that fails the tiling rule, its segments, and the diagnostic ``parse_stimulus`` gives it.
@@ -291,6 +310,7 @@ class TestCircuitGraphConstruction:
          "gate 1 references undeclared input 'B'"),
         (graph_of(outputs=(("g1", 1),)), DuplicateError, "name 'g1' is taken"),
         (graph_of(inputs=("A", "t_ms")), DuplicateError, "name 't_ms' is taken"),
+        (graph_of(inputs=("t_ms", "1A")), DuplicateError, "name 't_ms' is taken"),  # names are checked in order
         (graph_of(inputs=("A", "A")), DuplicateError, "name 'A' already declared"),
         (graph_of(inputs=("A", "1A")), NetlistSyntaxError, "invalid input name '1A'"),
         (graph_of(outputs=((2, 1),)), NetlistSyntaxError, "invalid output name 2"),
@@ -303,6 +323,11 @@ class TestCircuitGraphConstruction:
         (graph_of(outputs=(("S", 1.0),)), DanglingNetError, "output 'S' references undeclared gate 1.0"),
         (graph_of((GateNode(1, GateKind.MOR, (2, "A")), GateNode(2, GateKind.MNOT, (1,)))),
          CycleError, "circuit contains a feedback loop through gate 1"),
+        # A str where a sequence is expected would be split into one-letter names.
+        (graph_of((GateNode(1, GateKind.MOR, "AB"),), inputs=("A", "B")), NetlistSyntaxError,
+         "gate 1 sources must be a sequence, not the str 'AB'"),
+        (graph_of((GateNode(1, GateKind.MOR, ("A", "B")),), inputs="AB"), NetlistSyntaxError,
+         "inputs must be a sequence of names, not the str 'AB'"),
     ])
     def test_a_faulty_graph_is_refused_when_built(self, fields, error, message):
         with pytest.raises(error) as exc:
@@ -416,6 +441,13 @@ def unchecked(cls, *fields):
     return tuple.__new__(cls, fields)
 
 
+def serialized_circuit(graph):
+    """``serialize_circuit`` of a graph, which writes each gate's ``kind.value``: a kind that is a str is written as
+    it is."""
+    nodes = [n._replace(kind=SimpleNamespace(value=n.kind)) if isinstance(n.kind, str) else n for n in graph.nodes]
+    return serialize_circuit(unchecked(CircuitGraph, nodes, graph.inputs, graph.outputs))
+
+
 @st.composite
 def gate_nodes(draw, acyclic):
     """Gates with distinct drawn ids, declared in shuffled order.  An acyclic graph's gates draw their gate sources
@@ -492,8 +524,8 @@ INVALID_NAMES = st.sampled_from(["9x", "a-b", "\u00e9", "A.B"])  # each one toke
 @st.composite
 def drawn_graphs(draw):
     """The fields of a valid graph, or of one with a single fault that ``parse_circuit`` or ``CircuitGraph`` refuses:
-    a bad or repeated gate id, an arity of sources off by one, a dangling source or output, a repeated, reserved or
-    invalid name, or a feedback loop."""
+    a bad or repeated gate id, an unknown gate kind, an arity of sources off by one, a dangling source or output, a
+    repeated, reserved or invalid name, or a feedback loop."""
     names = draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
     inputs, probes = names[:draw(st.integers(1, len(names) - 1))], names
     ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
@@ -502,11 +534,13 @@ def drawn_graphs(draw):
         node.sources.extend(draw(st.sampled_from([*inputs, *(n.id for n in nodes[:rank])]))
                             for _ in range(node.kind.arity))
     outputs = [(name, draw(st.sampled_from([n.id for n in nodes]))) for name in probes[len(inputs):]]
-    fault = draw(st.sampled_from(["none", "id", "repeated id", "arity", "dangling gate", "dangling input",
+    fault = draw(st.sampled_from(["none", "id", "kind", "repeated id", "arity", "dangling gate", "dangling input",
                                   "dangling output", "repeated name", "reserved name", "invalid name", "loop"]))
     node = draw(st.sampled_from(nodes))
     if fault == "id":
         nodes[nodes.index(node)] = node._replace(id=draw(st.sampled_from([0, -3, "x", "x1"])))
+    elif fault == "kind":  # one token of text that is no ``GateKind`` value, such as a kind's name in lower case
+        nodes[nodes.index(node)] = node._replace(kind=draw(st.sampled_from(["XOR", "mor", "MNOT2", "1"])))
     elif fault == "repeated id":
         nodes.append(node)
     elif fault == "arity" and (len(node.sources) == 1 or draw(st.booleans())):
@@ -559,7 +593,7 @@ def drawn_stimuli(draw):
 @given(drawn_graphs())
 @settings(max_examples=300)
 def test_a_hand_built_graph_is_built_exactly_when_its_text_parses(fields):
-    assert_built_exactly_when_parsed(CircuitGraph, fields, parse_circuit, serialize_circuit)
+    assert_built_exactly_when_parsed(CircuitGraph, fields, parse_circuit, serialized_circuit)
 
 
 @given(drawn_stimuli())
@@ -575,6 +609,29 @@ FUZZ_TOKENS = [
 ]
 
 
+# A str's ``repr`` at the end of a message: the token the message quotes.
+QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")$""")
+
+
+def check_located(text, exc):
+    """A parser's diagnostic names its line, unless it is a ``CycleError``; its column, if any, is on that line or just
+    past its end; and a non-blank token the message quotes is the text at that column.  An empty interval is quoted
+    as ``serialize_stimulus`` writes it, not as the text spells it."""
+    if isinstance(exc, CycleError):
+        return
+    assert exc.line is not None, exc
+    lines = text.splitlines()
+    line = lines[exc.line - 1] if exc.line <= len(lines) else ""  # an empty stimulus is refused on line 1
+    if exc.column is None:
+        return
+    assert 1 <= exc.column <= len(line) + 1, exc
+    quoted = QUOTED.search(unlocated(exc))
+    if quoted and not unlocated(exc).startswith("empty interval"):
+        token = ast.literal_eval(quoted[1])
+        if token.strip():
+            assert repr(line[exc.column - 1:exc.column - 1 + len(token)]) == repr(token), exc
+
+
 def test_parser_totality_smoke():
     """Any input either parses or raises a located diagnostic; no crashes."""
     rng = random.Random(20120283)
@@ -587,5 +644,25 @@ def test_parser_totality_smoke():
         for parser in (parse_circuit, parse_stimulus):
             try:
                 parser(text)
-            except NetlistError:
-                pass
+            except NetlistError as exc:
+                check_located(text, exc)
+
+
+@pytest.mark.parametrize("parser, text, diagnostic", [
+    # The column of a line's first token is where it starts, past any indent, as a later token's always was.
+    (parse_circuit, "  wire A\n", "line 1, column 3: unknown directive 'wire'"),
+    (parse_circuit, "\t input\n", "line 1, column 3: expected: input <NAME>"),
+    (parse_circuit, "  gate 0 MNOT A\n", "line 1, column 8: gate id must be positive, got 0"),
+    (parse_circuit, "input A\n   gate 1 NOT A\n", "line 2, column 11: unknown gate kind 'NOT'"),
+    (parse_circuit, "  format memlogic/9\n", "line 1, column 3: unsupported format 'format memlogic/9'"),
+    (parse_circuit, "input A\n  format memlogic/1\n", "line 2, column 3: format line must come first"),
+    (parse_stimulus, "  1A: 0..400=0.1\n", "line 1, column 3: invalid terminal name '1A'"),
+    (parse_stimulus, "  A = high\n", "line 1, column 3: expected: <NAME>: <start>..<end>=<volts>, ..."),
+    (parse_stimulus, "A: 0..100=0.1,  100..100=0.6\n", "line 1, column 17: empty interval '100.0..100.0=0.6'"),
+    (parse_stimulus, "A: 0..400=0.1\n B: 0..30=0.1\n", "line 2: terminal 'B' ends at t=30.0 but the horizon is 400.0"),
+])
+def test_an_indented_line_is_located_at_its_tokens(parser, text, diagnostic):
+    with pytest.raises(NetlistError) as exc:
+        parser(text)
+    assert str(exc.value) == diagnostic
+    check_located(text, exc.value)
