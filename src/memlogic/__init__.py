@@ -6,17 +6,10 @@ and stimulus format, a time-stepped circuit engine, and a harness that
 ships a one-bit full adder as the reference circuit.
 """
 
-from .device import (
-    ConfigError,
-    DeviceParams,
-    MemristorState,
-    model_current,
-    new_state,
-    step,
-)
 from .engine import (AMBIGUOUS, SimConfig, Trace, final_states, read_binary, settle_time, simulate,
                      simulate_windows, write_trace)
-from .gates import R_OFF_CAP, GateInstance, GateKind
+from .gates import (R_OFF_CAP, ConfigError, DeviceParams, GateInstance, GateKind, MemristorState, model_current,
+                    new_state, step)
 from .harness import (
     Verdict,
     adder_truth,

@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .device import ConfigError, DeviceParams
 from .engine import SimConfig, _write_json, simulate_windows, write_trace
 # ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
 from .engine import simulate  # noqa: F401
-from .gates import GateKind
+from .gates import ConfigError, DeviceParams, GateKind
 from .harness import _read, default_characterization_schedule, gate_circuit, run_pattern
 from .netlist import CircuitGraph, NetlistError, Stimulus, check_drives, parse_circuit, parse_stimulus
 

@@ -23,7 +23,8 @@ on its own state; the engine therefore runs one gate at a time through
 every step of a window, in topological order, with
 :meth:`~memlogic.gates.GateInstance.run` reading its drivers' finished
 columns.  Each value comes from the same float operations, in the same
-order, as stepping the gate one step at a time would give, and a held run
+order, as stepping the gate's device one step at a time with
+:func:`~memlogic.gates.step` would give, and a held run
 cut at a window edge steps its first step again from an unchanged state,
 so the windows hold the full trace's bits.
 """
@@ -39,10 +40,9 @@ from functools import reduce
 from itertools import accumulate, islice
 from operator import itemgetter
 
-from .device import ConfigError, DeviceParams, MemristorState, _check_numbers, new_state
+from .gates import ConfigError, DeviceParams, GateInstance, MemristorState, _check_numbers, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
-from .device import model_current  # noqa: F401
-from .gates import GateInstance
+from .gates import model_current  # noqa: F401
 from .netlist import CircuitGraph, CoverageError, Stimulus, check_drives, topological_order
 
 AMBIGUOUS = "ambiguous"

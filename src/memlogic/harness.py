@@ -10,9 +10,8 @@ from __future__ import annotations
 import os
 from collections import deque, namedtuple
 
-from .device import ConfigError, DeviceParams
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
-from .gates import GateKind
+from .gates import ConfigError, DeviceParams, GateKind
 from .netlist import CircuitGraph, GateNode, NetlistSyntaxError, Segment, Stimulus, parse_circuit
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"

@@ -98,17 +98,19 @@ class CircuitGraph(namedtuple("CircuitGraph", "nodes inputs outputs")):
     in declaration order.  Construction, ``_replace`` included, checks that gate ids are distinct positive ``int``s,
     each kind a ``GateKind`` with its arity of sources, each source and output target declared, the graph acyclic, and
     input and probe names valid, distinct and no trace column (``t_ms``, or ``g1``, ``g1_I``, ``g1_x1`` or ``g1_x2``
-    when gate 1 exists).  A ``str`` as the inputs or as a gate's sources is refused, not split into letters.
+    when gate 1 exists).  Each field, each node, each node's sources and each output is a tuple or list of its shape,
+    or ``_shape`` refuses it: a ``str`` is not split into letters.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, nodes, inputs, outputs):
-        if isinstance(inputs, str):
-            raise NetlistSyntaxError(f"inputs must be a sequence of names, not the str {inputs!r}")
-        return _graph([(name, None) for name in inputs], [(node, None) for node in nodes],
-                      [(name, target, None) for name, target in outputs])
+        return _graph([(name, None) for name in _shape(inputs, "inputs must be a sequence of names")],
+                      [(_shape(node, "a gate must be an (id, kind, sources) triple", 3), None)
+                       for node in _shape(nodes, "nodes must be a sequence of gates")],
+                      [(*_shape(pair, "an output must be a (name, gate id) pair", 2), None)
+                       for pair in _shape(outputs, "outputs must be a sequence of (name, gate id) pairs")])
 
     @property
     def probes(self) -> dict[str, int]:
@@ -122,7 +124,9 @@ class Stimulus(namedtuple("Stimulus", "segments")):
     """Piecewise-constant input waveforms: one level per terminal at each instant of [0, horizon_ms].
 
     ``segments`` holds one (terminal name, its ``Segment`` tuple) pair per terminal.  Construction, ``_replace``
-    included, checks that terminal names are valid and distinct and that no segment ends at or before its start.  It
+    included, checks with ``_shape`` that ``segments``, each pair and each terminal's segments are tuples or lists of
+    their shape, and each segment three ``int`` or ``float`` numbers, which it stores as a ``Segment``.  It checks
+    that terminal names are valid and distinct and that no segment ends at or before its start.  It
     sorts each terminal's segments by start and checks that they tile [0, horizon_ms]: the first starts at 0, each
     next one where the one before ends, and every terminal ends at the horizon, the largest end.  An overlap is an
     ``OverlapError``; a gap, a NaN time or an end off the horizon is a ``CoverageError`` naming the terminal.
@@ -133,7 +137,9 @@ class Stimulus(namedtuple("Stimulus", "segments")):
     horizon_ms = property(lambda self: self.segments[0][1][-1].end)
 
     def __new__(cls, segments):
-        return super().__new__(cls, _tiled([(name, segs, None) for name, segs in segments]))
+        return super().__new__(cls, _tiled([(*_shape(pair, "a terminal must be a (name, segments) pair", 2), None)
+                                            for pair in _shape(segments, "segments must be a sequence of (name, "
+                                                                         "segments) pairs")]))
 
     @property
     def terminals(self) -> tuple[str, ...]:
@@ -175,6 +181,16 @@ def _on(where: tuple | None) -> str:
     return "" if where is None else f" on line {where[0]}"
 
 
+def _shape(value, rule: str, fields: int | None = None, kinds: tuple | None = None):
+    """``value``, once it is a tuple or list, of ``fields`` items and each of a type in ``kinds`` where they are named;
+    else a ``NetlistSyntaxError`` stating the ``rule`` and quoting the value.  It is the one shape rule for every field
+    that ``CircuitGraph`` and ``Stimulus`` take from outside, so no wrong shape fails later as a bare Python error."""
+    if not (isinstance(value, (tuple, list)) and (fields is None or len(value) == fields)
+            and (kinds is None or all(type(item) in kinds for item in value))):
+        raise NetlistSyntaxError(f"{rule}, not the {type(value).__name__} {value!r}")
+    return value
+
+
 def _names(declared: list, noun: str, reserved: tuple = ()) -> dict:
     """Each name of the ``(name, what, where, token)`` declarations, taken in line order, with its ``where``, once each
     is valid, new and not ``reserved``; ``token`` is the name's place on its line, and a repeat is a ``noun``."""
@@ -194,13 +210,18 @@ def _tiled(terminals: list) -> tuple:
     """``(name, segments, where)`` terminals as ``(name, segments)`` pairs, each terminal's segments sorted by start,
     once they meet the rule of ``Stimulus``; a diagnostic gives the ``where`` from ``parse_stimulus``."""
     if not terminals:
-        raise NetlistSyntaxError("stimulus declares no terminals", 1, 1)
+        raise NetlistSyntaxError("stimulus declares no terminals")
     _names([(name, "terminal", where, 0) for name, _, where in terminals], "terminal")
-    for _, segs, where in terminals:
+    shaped = []
+    for name, segs, where in terminals:
+        segs = [Segment._make(_shape(seg, f"terminal {name!r}: a segment must be a (start, end, volts) triple of "
+                                          "numbers", 3, (int, float)))
+                for seg in _shape(segs, f"terminal {name!r} segments must be a sequence")]
         for k, seg in enumerate(segs, start=1):  # the k-th interval is the line's k-th token after the name
             if seg.end <= seg.start:  # the interval quoted as ``serialize_stimulus`` writes it
                 raise NetlistSyntaxError(f"empty interval '{seg.start!r}..{seg.end!r}={seg.volts!r}'", *_at(where, k))
-    terminals = [(name, tuple(sorted(segs, key=lambda s: s.start)), where) for name, segs, where in terminals]
+        shaped.append((name, tuple(sorted(segs, key=lambda s: s.start)), where))
+    terminals = shaped
     horizon = max((seg.end for _, segs, _ in terminals for seg in segs), default=math.nan)
     for name, segs, where in terminals:
         cursor = 0.0
@@ -231,9 +252,7 @@ def _graph(inputs: list, nodes: list, outputs: list) -> CircuitGraph:
             raise DuplicateError(f"gate id {gate_id} already declared{_on(gates[gate_id][1])}", *_at(where))
         if not isinstance(kind, GateKind):
             raise NetlistSyntaxError(f"unknown gate kind {kind!r}", *_at(where, 2))
-        if isinstance(sources, str):
-            raise NetlistSyntaxError(f"gate {gate_id} sources must be a sequence, not the str {sources!r}")
-        if len(sources) != kind.arity:
+        if len(_shape(sources, f"gate {gate_id} sources must be a sequence")) != kind.arity:
             raise ArityError(f"{kind.value} takes {kind.arity} input(s), got {len(sources)}", *_at(where))
         gates[gate_id] = (GateNode(gate_id, kind, tuple(sources)), where)
     columns = {f"g{i}{part}" for i in gates for part in ("", "_I", "_x1", "_x2")}
@@ -244,7 +263,7 @@ def _graph(inputs: list, nodes: list, outputs: list) -> CircuitGraph:
     for node, where in gates.values():
         for src in node.sources:
             what, known = ("gate", gates) if type(src) is int else ("input", input_names)
-            if src not in known:
+            if not isinstance(src, (int, str)) or src not in known:  # an unhashable source is no declared one
                 raise DanglingNetError(f"gate {node.id} references undeclared {what} {src!r}", *_at(where))
     for name, target, where in outputs:
         if type(target) is not int or target not in gates:

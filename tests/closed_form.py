@@ -2,7 +2,7 @@
 
 import math
 
-from memlogic.device import DeviceParams
+from memlogic.gates import DeviceParams
 
 
 def closed_form_current(t_ms: float, p: DeviceParams = DeviceParams()) -> float:

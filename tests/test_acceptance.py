@@ -14,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from memlogic.device import DeviceParams, MemristorState, model_current, new_state, step
 from memlogic.engine import AMBIGUOUS, SimConfig, read_binary, settle_time
-from memlogic.gates import V_RAIL, GateInstance, GateKind
+from memlogic.gates import V_RAIL, DeviceParams, GateInstance, GateKind, MemristorState, model_current, new_state, step
 from memlogic.harness import adder_truth, fixture_text, run_pattern
 from memlogic.netlist import (
     ArityError,

@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.cli import _config_from, build_parser, main
-from memlogic.device import DeviceParams
 from memlogic.engine import SimConfig, simulate, write_trace
-from memlogic.gates import GateKind
+from memlogic.gates import DeviceParams, GateKind
 from memlogic.harness import default_characterization_schedule, fixture_dir, gate_circuit, run_pattern
 from memlogic.netlist import parse_stimulus
 

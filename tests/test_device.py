@@ -6,16 +6,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.device import (
-    ConfigError,
-    DeviceParams,
-    MemristorState,
-    model_current,
-    new_state,
-    step,
-)
 from memlogic.engine import SimConfig
-from memlogic.gates import GateInstance, GateKind
+from memlogic.gates import (ConfigError, DeviceParams, GateInstance, GateKind, MemristorState, model_current, new_state,
+                            step)
 
 from closed_form import closed_form_current
 

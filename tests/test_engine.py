@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import memlogic
-from memlogic.device import DeviceParams, MemristorState, new_state
 from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
@@ -29,6 +28,7 @@ from memlogic.engine import (
     simulate,
     write_trace,
 )
+from memlogic.gates import DeviceParams, MemristorState, new_state
 from memlogic.harness import build_full_adder, make_pattern_stimulus
 from memlogic.netlist import (
     CoverageError,

@@ -1,7 +1,7 @@
 """Differential test: the compiled engine against the object-per-gate reference loop.
 
 ``reference_step`` is one gate step written out from the device spec: the
-drive by gate kind, ``device.step``, then the readout from
+drive by gate kind, ``gates.step``, then the readout from
 ``model_current``.  ``reference_simulate`` is the step-major engine the
 compiled one replaced: each step samples every input with
 ``Stimulus.value_at``, then takes one ``reference_step`` per gate in
@@ -24,9 +24,9 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.device import DeviceParams, MemristorState, model_current, step
 from memlogic.engine import SimConfig, Trace, final_states, simulate
-from memlogic.gates import R1, R2, R_OFF_CAP, V_CON, V_RAIL, GateInstance, GateKind
+from memlogic.gates import (R1, R2, R_OFF_CAP, V_CON, V_RAIL, DeviceParams, GateInstance, GateKind, MemristorState,
+                            model_current, step)
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit, topological_order
 
 

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlogic.device import DeviceParams, MemristorState, model_current
-from memlogic.gates import R1, R2, R_OFF_CAP, V_RAIL, GateInstance, GateKind
+from memlogic.gates import (R1, R2, R_OFF_CAP, V_RAIL, DeviceParams, GateInstance, GateKind, MemristorState,
+                            model_current)
 
 from closed_form import closed_form_current
 

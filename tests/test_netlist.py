@@ -260,8 +260,14 @@ class TestStimulusConstruction:
         assert math.isnan(stim.value_at("A", 0.0)) and stim.value_at("A", 20.0) == math.inf
 
     def test_no_terminals_is_a_syntax_error(self):
-        with pytest.raises(NetlistSyntaxError, match="stimulus declares no terminals"):
-            Stimulus(())
+        """No one line holds the fault, so the parsed diagnostic names none, as the hand-built one does."""
+        with pytest.raises(NetlistSyntaxError) as exc:
+            parse_stimulus("format memlogic/1\n# none\n")
+        assert exc.value.line is None and str(exc.value) == "stimulus declares no terminals"
+
+    def test_a_segment_given_as_a_list_of_numbers_is_stored_as_a_segment(self):
+        stim = Stimulus([["A", [[0, 10.0, 0.1]]]])
+        assert stim == built({"A": [(0, 10.0, 0.1)]}) and type(stim.segments[0][1][0]) is Segment
 
     @pytest.mark.parametrize("terminals, error, message", [
         ((("A", (Segment(0.0, 10.0, 0.1),)), ("A", (Segment(0.0, 10.0, 0.6),))),
@@ -271,6 +277,17 @@ class TestStimulusConstruction:
         (((None, (Segment(0.0, 10.0, 0.1),)),), NetlistSyntaxError, "invalid terminal name None"),
         ((("A", (Segment(0.0, 10.0, 0.1), Segment(10.0, 5.0, 0.6))),), NetlistSyntaxError,
          "empty interval '10.0..5.0=0.6'"),
+        ((), NetlistSyntaxError, "stimulus declares no terminals"),
+        # Every field of a wrong shape is refused by one rule, not left to fail as a bare Python error.
+        ("AB", NetlistSyntaxError, "segments must be a sequence of (name, segments) pairs, not the str 'AB'"),
+        ((("A",),), NetlistSyntaxError, "a terminal must be a (name, segments) pair, not the tuple ('A',)"),
+        ((("A", "xy"),), NetlistSyntaxError, "terminal 'A' segments must be a sequence, not the str 'xy'"),
+        ((("A", ((0.0, 10.0),)),), NetlistSyntaxError,
+         "terminal 'A': a segment must be a (start, end, volts) triple of numbers, not the tuple (0.0, 10.0)"),
+        ((("A", (Segment("0", 10.0, 0.1),)),), NetlistSyntaxError, "terminal 'A': a segment must be a (start, end, "
+         "volts) triple of numbers, not the Segment Segment(start='0', end=10.0, volts=0.1)"),
+        ((("A", ((0.0, True, 0.1),)),), NetlistSyntaxError,
+         "terminal 'A': a segment must be a (start, end, volts) triple of numbers, not the tuple (0.0, True, 0.1)"),
     ])
     def test_terminal_names_and_empty_intervals_are_checked(self, terminals, error, message):
         with pytest.raises(error) as exc:
@@ -328,6 +345,19 @@ class TestCircuitGraphConstruction:
          "gate 1 sources must be a sequence, not the str 'AB'"),
         (graph_of((GateNode(1, GateKind.MOR, ("A", "B")),), inputs="AB"), NetlistSyntaxError,
          "inputs must be a sequence of names, not the str 'AB'"),
+        # Every other field of a wrong shape is refused by the same rule, not left to fail as a bare Python error.
+        (graph_of(outputs="S1"), NetlistSyntaxError,
+         "outputs must be a sequence of (name, gate id) pairs, not the str 'S1'"),
+        (graph_of(outputs=(("S",),)), NetlistSyntaxError,
+         "an output must be a (name, gate id) pair, not the tuple ('S',)"),
+        (graph_of(5), NetlistSyntaxError, "nodes must be a sequence of gates, not the int 5"),
+        (graph_of((5,)), NetlistSyntaxError, "a gate must be an (id, kind, sources) triple, not the int 5"),
+        (graph_of(((1, GateKind.MNOT),)), NetlistSyntaxError,
+         "a gate must be an (id, kind, sources) triple, not the tuple (1, <GateKind.MNOT: 'MNOT'>)"),
+        (graph_of((GateNode(1, GateKind.MNOT, 5),)), NetlistSyntaxError,
+         "gate 1 sources must be a sequence, not the int 5"),
+        (graph_of((GateNode(1, GateKind.MOR, (["A"], "A")),)), DanglingNetError,
+         "gate 1 references undeclared input ['A']"),
     ])
     def test_a_faulty_graph_is_refused_when_built(self, fields, error, message):
         with pytest.raises(error) as exc:
@@ -614,14 +644,13 @@ QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")$""")
 
 
 def check_located(text, exc):
-    """A parser's diagnostic names its line, unless it is a ``CycleError``; its column, if any, is on that line or just
-    past its end; and a non-blank token the message quotes is the text at that column.  An empty interval is quoted
-    as ``serialize_stimulus`` writes it, not as the text spells it."""
-    if isinstance(exc, CycleError):
+    """A parser's diagnostic names its line, unless it is a ``CycleError`` or an empty stimulus, which no one line
+    holds; its column, if any, is on that line or just past its end; and a non-blank token the message quotes is the
+    text at that column.  An empty interval is quoted as ``serialize_stimulus`` writes it, not as the text spells it."""
+    if isinstance(exc, CycleError) or str(exc) == "stimulus declares no terminals":
         return
     assert exc.line is not None, exc
-    lines = text.splitlines()
-    line = lines[exc.line - 1] if exc.line <= len(lines) else ""  # an empty stimulus is refused on line 1
+    line = text.splitlines()[exc.line - 1]
     if exc.column is None:
         return
     assert 1 <= exc.column <= len(line) + 1, exc

@@ -5,6 +5,7 @@ path when a traced run starts; a name that vanishes from ``src/`` would
 otherwise fail only there.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,8 @@ import pytest
 
 import memlogic
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "benchmarks" / "tracer.py"
 
 
 def load_tracer():
@@ -34,3 +36,17 @@ def test_every_name_the_tracer_wraps_resolves(module, path):
 def test_public_names_resolve_and_are_listed_once():
     assert len(memlogic.__all__) == len(set(memlogic.__all__))
     assert [name for name in memlogic.__all__ if not hasattr(memlogic, name)] == []
+
+
+def test_every_import_kept_only_for_the_tracer_is_one_it_wraps():
+    """An import marked ``# noqa: F401`` is unused in its module; it is there only for the tracer to wrap."""
+    kept = []
+    for source in sorted((ROOT / "src" / "memlogic").glob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                kept += [(f"memlogic.{source.stem}", alias.asname or alias.name) for alias in node.names]
+    wrapped = {(module, path) for module, path, _ in load_tracer().LEVELS["fine"]}
+    assert [hook for hook in kept if hook not in wrapped] == []
+    assert sorted(kept) == [("memlogic.cli", "simulate"), ("memlogic.engine", "model_current")]

@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from memlogic.device import ConfigError, DeviceParams, MemristorState, model_current, new_state
 from memlogic.engine import SimConfig, Trace
-from memlogic.gates import R2, V_CON, GateInstance, GateKind
+from memlogic.gates import (R2, V_CON, ConfigError, DeviceParams, GateInstance, GateKind, MemristorState, model_current,
+                            new_state)
 
 # A float subclass, such as ``numpy.float64``: arithmetic takes it, but no sidecar holds it.
 Millis = type("Millis", (float,), {})

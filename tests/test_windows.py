@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from memlogic import engine
 from memlogic.cli import main
-from memlogic.device import ConfigError, DeviceParams, MemristorState
 from memlogic.engine import SimConfig, Trace, read_binary, settle_time, simulate, simulate_windows, write_trace
+from memlogic.gates import ConfigError, DeviceParams, MemristorState
 from memlogic.harness import Verdict, adder_truth, build_full_adder, fixture_dir, make_pattern_stimulus, run_pattern
 from memlogic.netlist import CoverageError, Segment, Stimulus, parse_circuit
 from test_engine_oracle import DT, FRACTION, PARAMS, VOLTS, netlists
