@@ -55,11 +55,20 @@ def _write_run(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: 
     return 0
 
 
+def _parse(parse, path: str):
+    """The file at ``path`` given to ``parse``: its value, and its text.  A diagnostic in the file names it."""
+    text = _read(path)
+    try:
+        return parse(text), text
+    except NetlistError as exc:
+        raise NetlistError(f"{path}: {exc}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, params = _config_from(args)
-    texts = {"circuit": _read(args.circuit), "stimulus": _read(args.stimulus)}
-    graph, stimulus = parse_circuit(texts["circuit"]), parse_stimulus(texts["stimulus"])
-    return _write_run(graph, stimulus, cfg, params, args.out, texts)
+    graph, circuit = _parse(parse_circuit, args.circuit)
+    stimulus, stimulus_text = _parse(parse_stimulus, args.stimulus)
+    return _write_run(graph, stimulus, cfg, params, args.out, {"circuit": circuit, "stimulus": stimulus_text})
 
 
 def cmd_adder(args: argparse.Namespace) -> int:
@@ -83,19 +92,18 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     kind = GateKind(args.gate)
     fixture_texts = {}
     if args.schedule:
-        fixture_texts["schedule"] = _read(args.schedule)
-        schedule = parse_stimulus(fixture_texts["schedule"])
+        schedule, fixture_texts["schedule"] = _parse(parse_stimulus, args.schedule)
     else:
         schedule = default_characterization_schedule(kind, cfg)
     return _write_run(gate_circuit(kind), schedule, cfg, params, args.out, fixture_texts)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    graph = parse_circuit(_read(args.circuit))
+    graph, _ = _parse(parse_circuit, args.circuit)
     print(f"circuit OK: {len(graph.nodes)} gates, inputs {', '.join(graph.inputs)}, "
           f"probes {', '.join(name for name, _ in graph.outputs)}")
     if args.stimulus:
-        stimulus = parse_stimulus(_read(args.stimulus))
+        stimulus, _ = _parse(parse_stimulus, args.stimulus)
         check_drives(graph, stimulus)
         print(f"stimulus OK: terminals {', '.join(stimulus.terminals)}, "
               f"horizon {stimulus.horizon_ms:g} ms")

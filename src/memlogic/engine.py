@@ -11,10 +11,10 @@ voltages through the proportionality constant ``b`` (V = I * b), chosen so
 that a fully saturated device driven at logic-1 reproduces logic-1 at the
 next input.  MNOT outputs are voltages already and pass through unchanged.
 
-Each input terminal is sampled once per run into constant runs of steps,
-one per stimulus segment.  The engine goes through the run in consecutive
-windows of records: each window fills its input columns from those runs,
-and each gate goes on from the state the window before left it in.
+The engine goes through the run in consecutive windows of records: each
+window samples its input columns straight from the stimulus segments, one
+constant run of steps per segment, and each gate goes on from the state
+the window before left it in.
 :func:`simulate` is the one-window case; :func:`simulate_windows` yields
 windows of ``_WINDOW`` records, so that every ``memlogic`` command holds
 one or two of them at a time, whatever the horizon.  The netlist is
@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import reduce
 from itertools import accumulate, islice
-from operator import itemgetter
+from operator import attrgetter
 
 from .gates import ConfigError, DeviceParams, GateInstance, MemristorState, _check_numbers, new_state
 # ``model_current`` stays importable here because the benchmark tracer wraps ``memlogic.engine.model_current``.
@@ -219,36 +219,23 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
                 "records": self.records, "columns": self.csv_columns()}
 
 
-def _sample(stimulus: Stimulus, name: str, dt: float, steps: int) -> list[tuple[int, int, float]]:
-    """A terminal's runs over the steps ``k`` of time ``k * dt``: ``(lo, hi, volts)``, in order, tiling every step.
+def _sample(segs: tuple, dt: float, a: int, e: int) -> tuple[array, list[tuple[int, int]]]:
+    """A terminal's column over the steps ``k`` of time ``k * dt`` from ``a`` to ``e - 1``, and its runs counted from
+    ``a``: ``(lo, hi)``, in order, tiling every step.
 
-    Each segment fills the steps from the first unfilled one, ``lo``, up to its end, ``hi``; a fill that is not empty is
-    a run.  A step left unfilled, which only float rounding of ``steps * dt`` could leave, is a ``CoverageError``.
-    ``bisect_left`` reads the step times from ``range(steps)``, so no list of them is built.
+    From the segment holding step ``a``, each segment fills the steps from the first unfilled one up to its end; a fill
+    that is not empty is a run.  ``_windows`` has checked that the last segment holds the run's last step.
+    ``bisect_left`` reads the step times from ``range(e)``, so no list of them is built.
     """
-    segs = next(segs for terminal, segs in stimulus.segments if terminal == name)
-    runs, lo = [], 0
-    for seg in segs:
-        hi = bisect_left(range(steps), seg.end, lo, key=lambda k: k * dt)
+    column, runs, lo = array("d"), [], a
+    i = bisect_right(segs, a * dt, key=attrgetter("end"))
+    while lo < e:
+        hi = bisect_left(range(e), segs[i].end, lo, key=lambda k: k * dt)
         if lo < hi:
-            runs.append((lo, hi, seg.volts))
-        lo = hi
-    if lo < steps:
-        raise CoverageError(f"terminal {name} has no segment covering t={lo * dt}")
-    return runs
-
-
-def _clip(runs: list[tuple[int, int, float]], a: int, e: int) -> tuple[array, list[tuple[int, int]]]:
-    """A terminal's column over the steps ``a`` to ``e - 1``, and its runs cut to them, counted from ``a``."""
-    column, clipped = array("d"), []
-    i = bisect_right(runs, a, key=itemgetter(0)) - 1  # the run holding step a
-    while i < len(runs) and runs[i][0] < e:
-        lo, hi, volts = runs[i]
-        lo, hi = max(lo, a), min(hi, e)
-        column += array("d", [volts]) * (hi - lo)
-        clipped.append((lo - a, hi - a))
-        i += 1
-    return column, clipped
+            column += array("d", [segs[i].volts]) * (hi - lo)
+            runs.append((lo - a, hi - a))
+        lo, i = hi, i + 1
+    return column, runs
 
 
 def _common_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -279,7 +266,10 @@ def _windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: De
     names = ["t_ms", *graph.inputs, *graph.probes, *(f"g{i}" for i in nodes)]
     names += [f"g{i}{part}" for i in nodes for part in ("_I", "_x1", "_x2")]
     dt, steps = cfg.dt, cfg.steps
-    inputs = {name: _sample(stimulus, name, dt, steps) for name in graph.inputs}
+    # Every terminal ends at the horizon, and ``k * dt`` grows with ``k``, so each holds every step if this one does.
+    if graph.inputs and (steps - 1) * dt >= stimulus.horizon_ms:
+        raise CoverageError(f"stimulus has no segment covering the run's last step, at t={(steps - 1) * dt}")
+    inputs = {name: segs for name, segs in stimulus.segments if name in graph.inputs}
     order = topological_order(graph)
     sources = {i: [src if isinstance(src, str) else f"g{src}" for src in nodes[i].sources] for i in order}
 
@@ -289,8 +279,8 @@ def _windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: De
             # ``CircuitGraph`` keeps input and probe names off t_ms and the gate columns, so the names are distinct.
             # The last window's tables are dropped before any is filled, so one window is live at a time.
             columns, runs, twins = dict.fromkeys(names), {}, {}
-            for name, terminal_runs in inputs.items():
-                columns[name], runs[name] = _clip(terminal_runs, a, e)
+            for name, segs in inputs.items():
+                columns[name], runs[name] = _sample(segs, dt, a, e)
             for gate_id in order:
                 nets, gate = sources[gate_id], gates[gate_id]
                 series = [columns[net] for net in nets]

@@ -23,12 +23,14 @@ def fixture_dir() -> str:
 
 
 def _read(path: str) -> str:
+    """The text of the file at ``path``.  A byte that is not UTF-8 is a ``NetlistSyntaxError`` naming the file and the
+    byte's line, in the form of the CLI's diagnostics in a file: ``<path>: line 2: not UTF-8: <reason>``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; ``_lines`` counts lines by ``splitlines``
-            raise NetlistSyntaxError(f"{path!r} is not UTF-8: {exc.reason}",
-                                     len((exc.object[:exc.start].decode() + ".").splitlines())) from None
+            line = len((exc.object[:exc.start].decode() + ".").splitlines())
+            raise NetlistSyntaxError(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
 
 
 def fixture_text(name: str) -> str:

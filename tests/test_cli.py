@@ -196,28 +196,28 @@ def test_check_rejects_a_stimulus_that_leaves_an_input_undriven(tmp_path, capsys
 
 
 MALFORMED = Path(__file__).parent / "data" / "malformed"
-# The one stderr line ``memlogic check`` prints for each malformed netlist.
+# The one stderr line ``memlogic check`` prints for each malformed netlist, after "error: <path>: ".
 GOLDEN_CIRCUIT_DIAGNOSTICS = {
-    "01_unknown_directive.mlc": "error: line 3, column 1: unknown directive 'wire'",
-    "02_unknown_kind.mlc": "error: line 3, column 8: unknown gate kind 'XOR'",
-    "03_mnot_arity.mlc": "error: line 3: MNOT takes 1 input(s), got 2",
-    "04_mor_arity.mlc": "error: line 2: MOR takes 2 input(s), got 1",
-    "05_duplicate_id.mlc": "error: line 4: gate id 1 already declared on line 3",
-    "06_dangling_name.mlc": "error: line 2: gate 1 references undeclared input 'Bogus'",
-    "07_dangling_id.mlc": "error: line 3: gate 1 references undeclared gate 7",
-    "08_cycle.mlc": "error: circuit contains a feedback loop through gate 1",
-    "09_dangling_output.mlc": "error: line 4: output 'S' references undeclared gate 4",
-    "10_bad_format.mlc": "error: line 1, column 1: unsupported format 'format memlogic/9'",
+    "01_unknown_directive.mlc": "line 3, column 1: unknown directive 'wire'",
+    "02_unknown_kind.mlc": "line 3, column 8: unknown gate kind 'XOR'",
+    "03_mnot_arity.mlc": "line 3: MNOT takes 1 input(s), got 2",
+    "04_mor_arity.mlc": "line 2: MOR takes 2 input(s), got 1",
+    "05_duplicate_id.mlc": "line 4: gate id 1 already declared on line 3",
+    "06_dangling_name.mlc": "line 2: gate 1 references undeclared input 'Bogus'",
+    "07_dangling_id.mlc": "line 3: gate 1 references undeclared gate 7",
+    "08_cycle.mlc": "circuit contains a feedback loop through gate 1",
+    "09_dangling_output.mlc": "line 4: output 'S' references undeclared gate 4",
+    "10_bad_format.mlc": "line 1, column 1: unsupported format 'format memlogic/9'",
     # A gate id, an output target and a source naming a gate are ASCII digits, though ``int`` takes these spellings.
-    "11_underscore_id.mlc": "error: line 3, column 6: gate id must be an integer, got '1_0'",
-    "12_plus_id.mlc": "error: line 3, column 6: gate id must be an integer, got '+10'",
-    "13_plus_target.mlc": "error: line 4, column 10: output target must be a gate id, got '+10'",
-    "14_non_ascii_id.mlc": "error: line 3, column 6: gate id must be an integer, got '\u0662'",
-    "15_non_ascii_source.mlc": "error: line 3, column 15: invalid source '\u0661\u0660'",
+    "11_underscore_id.mlc": "line 3, column 6: gate id must be an integer, got '1_0'",
+    "12_plus_id.mlc": "line 3, column 6: gate id must be an integer, got '+10'",
+    "13_plus_target.mlc": "line 4, column 10: output target must be a gate id, got '+10'",
+    "14_non_ascii_id.mlc": "line 3, column 6: gate id must be an integer, got '\u0662'",
+    "15_non_ascii_source.mlc": "line 3, column 15: invalid source '\u0661\u0660'",
     # Gate 1 reads the loop 2 <-> 3 but is not on it.
-    "16_cycle_off_loop.mlc": "error: circuit contains a feedback loop through gate 2",
+    "16_cycle_off_loop.mlc": "circuit contains a feedback loop through gate 2",
     # Only a first word that is ``format`` makes a format line.
-    "17_format_prefix.mlc": "error: line 1, column 1: unknown directive 'formats'",
+    "17_format_prefix.mlc": "line 1, column 1: unknown directive 'formats'",
 }
 
 
@@ -229,7 +229,7 @@ def test_every_malformed_netlist_has_a_golden_diagnostic():
 def test_check_prints_the_golden_diagnostic_of_a_malformed_netlist(capsys, name):
     assert main(["check", "--circuit", str(MALFORMED / name)]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", GOLDEN_CIRCUIT_DIAGNOSTICS[name] + "\n")
+    assert (captured.out, captured.err) == ("", f"error: {MALFORMED / name}: {GOLDEN_CIRCUIT_DIAGNOSTICS[name]}\n")
 
 
 @pytest.mark.parametrize("text, diagnostic", [
@@ -252,7 +252,21 @@ def test_check_prints_the_golden_diagnostic_of_a_malformed_stimulus(tmp_path, ca
     bad = tmp_path / "bad.mls"
     bad.write_text(text)
     assert main(["check", "--circuit", ADDER, "--stimulus", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {diagnostic}\n"
+    assert capsys.readouterr().err == f"error: {bad}: {diagnostic}\n"
+
+
+def test_a_bad_stimulus_is_named_in_its_diagnostic_and_the_good_circuit_is_not(tmp_path, capsys):
+    stim, out = tmp_path / "short_cin.mls", tmp_path / "trace.csv"
+    stim.write_text("A: 0..400=0.6\nB: 0..400=0.1\nCIN: 0..300=0.6\n")
+    assert main(["run", "--circuit", ADDER, "--stimulus", str(stim), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {stim}: line 3: terminal 'CIN' ends at t=300.0 but the horizon is 400.0\n"
+
+
+def test_a_bad_circuit_is_named_in_its_diagnostic_and_the_good_stimulus_is_not(tmp_path, capsys):
+    circuit, out = MALFORMED / "02_unknown_kind.mlc", tmp_path / "trace.csv"
+    assert main(["run", "--circuit", str(circuit), "--stimulus", PATTERN_101, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {circuit}: line 3, column 8: unknown gate kind 'XOR'\n"
 
 
 @pytest.mark.parametrize("dt, cut", [("0.7", True), ("1", False), ("0.01", False)])
@@ -340,7 +354,7 @@ def test_a_file_that_is_not_utf8_is_a_usage_error_naming_the_file_and_line(tmp_p
     bad, out = tmp_path / "bad.txt", tmp_path / "out.csv"
     bad.write_bytes(data)
     assert main([{"BAD": str(bad), "OUT": str(out)}.get(arg, arg) for arg in argv]) == 2
-    assert capsys.readouterr().err == f"error: line {line}: {str(bad)!r} is not UTF-8: {reason}\n"
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: not UTF-8: {reason}\n"
     assert sorted(tmp_path.iterdir()) == [bad]
 
 

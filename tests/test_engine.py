@@ -18,7 +18,6 @@ from memlogic.engine import (
     AMBIGUOUS,
     SimConfig,
     Trace,
-    _clip,
     _json_text,
     _sample,
     classify,
@@ -248,18 +247,19 @@ def test_sample_by_segment_matches_value_at_per_time(data):
     stim = Stimulus((("B", (Segment(0.0, horizon, 9.0),)), ("A", segs)))
     assert stim.segments[1][1] == tuple(sorted(segs, key=lambda seg: seg.start))
     assert stim.horizon_ms == horizon
-    runs = _sample(stim, "A", dt, steps)
-    column, clipped = _clip(runs, 0, steps)
+    assert (steps - 1) * dt < horizon  # the run's coverage, which ``_windows`` checks before it samples
+    column, runs = _sample(stim.segments[1][1], dt, 0, steps)
     assert column.tobytes() == array("d", [stim.value_at("A", k * dt) for k in range(steps)]).tobytes()
     # The runs tile every step, in order, and each holds one double.
-    assert clipped == [(lo, hi) for lo, hi, _ in runs]
-    assert [k for run in clipped for k in range(*run)] == list(range(steps))
+    assert [k for run in runs for k in range(*run)] == list(range(steps))
     assert all(len(set(column[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1
-               for lo, hi in clipped)
-    # A window's clip is that window of the column, with the runs there counted from its first step.
-    a = data.draw(st.integers(0, steps - 1))
+               for lo, hi in runs)
+    # A window is that window of the column, with its runs counted from its first step.  It starts at any step, or at
+    # one next to a segment end: on the step whose time the end is on or an ulp from, or one step either side of it.
+    edges = [k for seg in segs for k in range(round(seg.end / dt) - 1, round(seg.end / dt) + 2) if 0 <= k < steps]
+    a = data.draw(st.sampled_from(edges) if edges and data.draw(st.booleans()) else st.integers(0, steps - 1))
     e = data.draw(st.integers(a + 1, steps))
-    part, local = _clip(runs, a, e)
+    part, local = _sample(stim.segments[1][1], dt, a, e)
     assert part.tobytes() == column[a:e].tobytes()
     assert [k for run in local for k in range(*run)] == list(range(e - a))
     assert all(len(set(part[lo:hi].tobytes()[i:i + 8] for i in range(0, 8 * (hi - lo), 8))) == 1

@@ -154,12 +154,14 @@ def test_checks_of_a_windowed_run_come_before_any_window():
 @pytest.mark.parametrize("stimulus, flags, message", [
     # A gap in A after the first window: the stimulus parser's CoverageError.
     ("A: 0..100=0.1, 150..400=0.6\nB: 0..400=0.1\nCIN: 0..400=0.6\n", [],
-     "error: line 2: terminal 'A': gap between t=100.0 and t=150.0\n"),
+     "error: {stim}: line 2: terminal 'A': gap between t=100.0 and t=150.0\n"),
     # Every terminal ends after the first window and before the run's horizon: the engine's CoverageError.
     ("A: 0..150=0.1\nB: 0..150=0.1\nCIN: 0..150=0.6\n", [],
      "error: stimulus covers 150.0 ms but the run needs 400.0 ms\n"),
     # An MNOT's constant source would potentiate its device.
-    ("A: 0..400=0.1\nB: 0..400=0.1\nCIN: 0..400=0.6\n", ["--vox", "0.25"], "error: MNOT constant source"),
+    ("A: 0..400=0.1\nB: 0..400=0.1\nCIN: 0..400=0.6\n", ["--vox", "0.25"],
+     "error: MNOT constant source (0.3 V) must lie below the oxidation potential (0.25 V), or it potentiates the "
+     "device on its own\n"),
 ])
 def test_a_run_that_fails_a_check_writes_no_file_and_leaves_out_untouched(tmp_path, capsys, stimulus, flags,
                                                                           message):
@@ -170,7 +172,27 @@ def test_a_run_that_fails_a_check_writes_no_file_and_leaves_out_untouched(tmp_pa
     for out in (fresh, kept):
         assert main(["run", "--circuit", ADDER, "--stimulus", str(stim), "--out", str(out), "--dt", "0.01",
                      *flags]) == 2
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err == message.format(stim=stim)
+    assert kept.read_bytes() == b"an earlier trace\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "stim.mls"]
+
+
+def test_a_last_step_that_no_segment_covers_is_found_before_any_window(tmp_path, capsys):
+    """At dt = 1 ms and a horizon of 2**60 ms, the time of the run's last step, ``(2**60 - 1) * 1.0``, rounds to 2**60,
+    where every terminal ends.  Only the engine's coverage check finds this, when ``simulate_windows`` is called."""
+    end, names = 2.0 ** 60, ("A", "B", "CIN")
+    stim = Stimulus(tuple((name, (Segment(0.0, end, 0.1),)) for name in names))
+    with pytest.raises(CoverageError) as raised:
+        simulate_windows(build_full_adder(), stim, SimConfig(dt=1.0, horizon=end))
+    assert "1.152921504606847e+18" in str(raised.value)
+    text = tmp_path / "stim.mls"
+    text.write_text("".join(f"{name}: 0..{end!r}=0.1\n" for name in names))
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"an earlier trace\n")
+    for out in (fresh, kept):
+        assert main(["run", "--circuit", ADDER, "--stimulus", str(text), "--out", str(out), "--dt", "1",
+                     "--horizon", repr(end)]) == 2
+        assert capsys.readouterr() == ("", f"error: {raised.value}\n")
     assert kept.read_bytes() == b"an earlier trace\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "stim.mls"]
 
