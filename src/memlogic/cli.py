@@ -19,7 +19,7 @@ from .engine import SimConfig, _write_json, simulate_windows, write_trace
 # ``simulate`` stays importable here because the benchmark tracer wraps ``memlogic.cli.simulate``.
 from .engine import simulate  # noqa: F401
 from .gates import ConfigError, DeviceParams, GateKind
-from .harness import _read, default_characterization_schedule, gate_circuit, run_pattern
+from .harness import _parse, default_characterization_schedule, gate_circuit, run_pattern
 from .netlist import CircuitGraph, NetlistError, Stimulus, check_drives, parse_circuit, parse_stimulus
 
 
@@ -53,15 +53,6 @@ def _write_run(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig, params: 
     write_trace(simulate_windows(graph, stimulus, cfg, params=params), out, fixture_texts)
     print(f"wrote {cfg.steps} records to {out}")
     return 0
-
-
-def _parse(parse, path: str):
-    """The file at ``path`` given to ``parse``: its value, and its text.  A diagnostic in the file names it."""
-    text = _read(path)
-    try:
-        return parse(text), text
-    except NetlistError as exc:
-        raise NetlistError(f"{path}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

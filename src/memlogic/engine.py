@@ -145,10 +145,10 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     def index_at(self, t_ms: float) -> int:
         """The record at ``t_ms``, counted in steps from the first stamp, so that a window answers by its own."""
         times, dt = self.times, self.config.dt
-        idx = int(round(t_ms / dt)) - int(round(times[0] / dt)) if times else -1
-        if not 0 <= idx < len(times):
+        idx = round(t_ms / dt, 0) - round(times[0] / dt, 0) if times else -1
+        if not 0 <= idx < len(times):  # a float count, so a NaN or infinite time is outside too
             raise ValueError(f"t={t_ms} ms is outside the recorded horizon")
-        return idx
+        return int(idx)
 
     def voltage_at(self, net: str, t_ms: float) -> float:
         return self.column(net)[self.index_at(t_ms)]
@@ -185,11 +185,10 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
             shared = {k for i, k in varies if i != k}  # the leads of blocks that two or more columns hold
             template = b",".join(b"%.8e" % c[a] if k is None else b"%b" if k in shared else b"%.8e"
                                  for k, c in zip(lead, columns)) + b"\n"
-            # A shared block is formatted a quarter block at a time, with one ``%``, and split into its cells: made
+            # A quarter block at a time, each shared block formatted with one ``%`` and split into its cells: made
             # per whole block, its cells raised ripple32's child peak RSS from 19.99 to 20.37 MB.
-            step = _CSV_BLOCK // 4 if shared else _CSV_BLOCK
-            for s in range(a, b, step):
-                e = min(s + step, b)
+            for s in range(a, b, _CSV_BLOCK // 4):
+                e = min(s + _CSV_BLOCK // 4, b)
                 texts = {j: (b",".join([b"%.8e"] * (e - s)) % tuple(columns[j][s:e])).split(b",") for j in shared}
                 varying = [texts.get(k) or columns[i][s:e] for i, k in varies]
                 # One ``%`` per record, yielded as it is made.  zip() of no columns gives no rows, so a block with
@@ -360,8 +359,10 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     of the final run of ``level`` at or after the onset.  Raises
     ``ValueError`` if the walk reaches the first record of a trace that
     starts after the run's first step, such as a later window: the run may
-    have settled before it.
+    have settled before it.  A ``level`` other than 0, 1 or ``AMBIGUOUS``, which no record reads, is a ``ValueError``.
     """
+    if level not in (0, 1, AMBIGUOUS):
+        raise ValueError(f"level must be 0, 1 or {AMBIGUOUS!r}, which a net can read; got {level!r}")
     cfg = trace.config
     column, times = trace.column(net), trace.times
     settled: float | None = None

@@ -1,8 +1,8 @@
 """Reference experiments: the one-bit full adder and single-gate characterization.
 
-The adder fixture is probed at COUT (gate 7) and SUM (gate 12).  Runs
-follow the standard protocol: every input held at logic 0 for the first
-100 ms, then the chosen pattern applied for the remaining 300 ms.
+The adder fixture is probed at COUT (gate 7) and SUM (gate 12).  Runs follow the standard protocol: every input held
+at logic 0 for the first 100 ms, then the chosen pattern applied for the remaining 300 ms.  Fixtures are read from
+``fixture_dir()`` by ``_parse``, which reads the CLI's files too, so a diagnostic in a fixture names its file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections import deque, namedtuple
 
 from .engine import ONSET_MS, SimConfig, Trace, read_binary, simulate_windows
 from .gates import ConfigError, DeviceParams, GateKind
-from .netlist import CircuitGraph, GateNode, NetlistSyntaxError, Segment, Stimulus, parse_circuit
+from .netlist import CircuitGraph, GateNode, NetlistError, NetlistSyntaxError, Segment, Stimulus, parse_circuit
 
 _FIXTURE_ENV = "MEMLOGIC_FIXTURES"
 _PACKAGE_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -22,24 +22,30 @@ def fixture_dir() -> str:
     return os.environ.get(_FIXTURE_ENV) or _PACKAGE_FIXTURES
 
 
-def _read(path: str) -> str:
-    """The text of the file at ``path``.  A byte that is not UTF-8 is a ``NetlistSyntaxError`` naming the file and the
-    byte's line, in the form of the CLI's diagnostics in a file: ``<path>: line 2: not UTF-8: <reason>``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; ``_lines`` counts lines by ``splitlines``
-            line = len((exc.object[:exc.start].decode() + ".").splitlines())
-            raise NetlistSyntaxError(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
+def _parse(parse, path: str):
+    """The file at ``path``, read as UTF-8 and given to ``parse``: its value and its text.  A byte that is not UTF-8
+    is a ``NetlistSyntaxError`` at its line.  A ``NetlistError`` keeps its type, line and column, and gains the prefix
+    ``<path>: ``, as in ``<path>: line 2: not UTF-8: <reason>``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file; ``_lines`` counts by ``splitlines``
+                line = len((exc.object[:exc.start].decode() + ".").splitlines())
+                raise NetlistSyntaxError(f"not UTF-8: {exc.reason}", line) from None
+        return parse(text), text
+    except NetlistError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def fixture_text(name: str) -> str:
-    return _read(os.path.join(fixture_dir(), name))
+    return _parse(str, os.path.join(fixture_dir(), name))[1]
 
 
 def build_full_adder() -> CircuitGraph:
     """The shipped one-bit full adder: 12 gates, COUT at 7, SUM at 12."""
-    return parse_circuit(fixture_text("adder.mlc"))
+    return _parse(parse_circuit, os.path.join(fixture_dir(), "adder.mlc"))[0]
 
 
 def make_pattern_stimulus(a: int, b: int, cin: int, cfg: SimConfig | None = None) -> Stimulus:

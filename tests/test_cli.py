@@ -333,6 +333,13 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_adder_names_a_malformed_fixture_in_its_diagnostic(tmp_path, monkeypatch, capsys):
+    (tmp_path / "adder.mlc").write_text("inptu A\n")
+    monkeypatch.setenv("MEMLOGIC_FIXTURES", str(tmp_path))
+    assert main(["adder"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'adder.mlc'}: line 1, column 1: unknown directive 'inptu'\n"
+
+
 # Bytes that are not UTF-8, the line of the first bad byte, and the decoder's reason.
 NOT_UTF8 = {
     "latin-1 comment": (b"input A\n# caf\xe9 au lait\ngate 1 MNOT A\n", 2, "invalid continuation byte"),

@@ -468,8 +468,9 @@ class TestReadBinary:
 
     def test_time_out_of_range(self):
         trace = synthetic_trace([0.0] * 10)
-        with pytest.raises(ValueError):
-            read_binary(trace, "NET", 1000.0)
+        for t in (1000.0, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^t={t} ms is outside the recorded horizon$"):
+                read_binary(trace, "NET", t)
 
     def test_rethreshold_through_the_trace_config(self):
         trace = synthetic_trace([0.3] * 400)
@@ -505,6 +506,16 @@ class TestSettleTime:
         values = [0.0] * 150 + [0.6] * 250
         trace = synthetic_trace(values)
         assert settle_time(trace, "NET", 1) == 151.0
+
+    @pytest.mark.parametrize("level", ["1", 2, math.nan])
+    def test_a_level_no_record_reads_is_refused(self, level):
+        with pytest.raises(ValueError, match=rf"^level must be 0, 1 or 'ambiguous', which a net can read; got "
+                                             rf"{level!r}$"):
+            settle_time(synthetic_trace([0.6] * 400), "NET", level)
+
+    def test_levels_equal_to_a_readout_are_accepted(self):
+        trace = synthetic_trace([0.6] * 400)
+        assert settle_time(trace, "NET", True) == settle_time(trace, "NET", 1.0) == 100.0
 
 
 def forward_settle_time(trace: Trace, net: str, level, onset_ms: float = 100.0):

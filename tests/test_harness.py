@@ -16,7 +16,7 @@ from memlogic.harness import (
     make_pattern_stimulus,
     run_pattern,
 )
-from memlogic.netlist import parse_circuit, parse_stimulus, topological_order
+from memlogic.netlist import DanglingNetError, NetlistSyntaxError, parse_circuit, parse_stimulus, topological_order
 
 CFG = SimConfig()
 
@@ -50,6 +50,28 @@ class TestAdderGraph:
         monkeypatch.setenv("MEMLOGIC_FIXTURES", "")
         assert fixture_dir() == package
         assert len(build_full_adder().nodes) == 12
+
+    def test_a_fixture_diagnostic_keeps_its_type_and_line_and_names_the_file(self, tmp_path, monkeypatch):
+        adder = tmp_path / "adder.mlc"
+        adder.write_text("input A\ngate 1 MOR A Z\noutput SUM 1\n")
+        monkeypatch.setenv("MEMLOGIC_FIXTURES", str(tmp_path))
+        with pytest.raises(DanglingNetError) as info:
+            build_full_adder()
+        assert (info.value.line, info.value.column) == (2, None)
+        assert str(info.value).startswith(f"{adder}: line 2: ")
+
+    @pytest.mark.parametrize("data,line,reason", [
+        (b"input A\n# caf\xe9 au lait\n", 2, "invalid continuation byte"),
+        (b"input A\n\ninput B\n\xff\n", 4, "invalid start byte"),
+    ], ids=["latin-1 comment", "bad byte on line 4"])
+    def test_a_fixture_that_is_not_utf8_is_a_syntax_error_at_its_first_bad_byte(self, tmp_path, monkeypatch, data,
+                                                                                 line, reason):
+        (tmp_path / "bad.mlc").write_bytes(data)
+        monkeypatch.setenv("MEMLOGIC_FIXTURES", str(tmp_path))
+        with pytest.raises(NetlistSyntaxError) as info:
+            fixture_text("bad.mlc")
+        assert (info.value.line, info.value.column) == (line, None)
+        assert str(info.value) == f"{tmp_path / 'bad.mlc'}: line {line}: not UTF-8: {reason}"
 
 
 class TestReferencePatterns:
