@@ -145,7 +145,10 @@ class Trace(namedtuple("Trace", "config columns params", defaults=(None,))):
     def index_at(self, t_ms: float) -> int:
         """The record at ``t_ms``, counted in steps from the first stamp, so that a window answers by its own."""
         times, dt = self.times, self.config.dt
-        idx = round(t_ms / dt, 0) - round(times[0] / dt, 0) if times else -1
+        try:
+            idx = round(t_ms / dt, 0) - round(times[0] / dt, 0) if times else -1
+        except OverflowError:  # an int time past float range
+            idx = -1
         if not 0 <= idx < len(times):  # a float count, so a NaN or infinite time is outside too
             raise ValueError(f"t={t_ms} ms is outside the recorded horizon")
         return int(idx)
@@ -331,7 +334,10 @@ def simulate_windows(graph: CircuitGraph, stimulus: Stimulus, cfg: SimConfig | N
 
 
 def final_states(trace: Trace, graph: CircuitGraph) -> dict[int, MemristorState]:
-    """Each gate's device state at the trace's last record, for ``simulate(..., states=)`` to continue from."""
+    """Each gate's device state at the trace's last record, for ``simulate(..., states=)`` to continue from.
+    A trace with no records is a ``ValueError``."""
+    if not trace.records:
+        raise ValueError("the trace has no records, so no gate has a final state")
     return {node.id: MemristorState(trace.column(f"g{node.id}_x1")[-1], trace.column(f"g{node.id}_x2")[-1])
             for node in graph.nodes}
 
@@ -359,10 +365,13 @@ def settle_time(trace: Trace, net: str, level, onset_ms: float = ONSET_MS) -> fl
     of the final run of ``level`` at or after the onset.  Raises
     ``ValueError`` if the walk reaches the first record of a trace that
     starts after the run's first step, such as a later window: the run may
-    have settled before it.  A ``level`` other than 0, 1 or ``AMBIGUOUS``, which no record reads, is a ``ValueError``.
+    have settled before it.  A ``level`` other than 0, 1 or ``AMBIGUOUS``, which no record reads, is a ``ValueError``,
+    and so is a NaN ``onset_ms``, which every record would pass.
     """
     if level not in (0, 1, AMBIGUOUS):
         raise ValueError(f"level must be 0, 1 or {AMBIGUOUS!r}, which a net can read; got {level!r}")
+    if onset_ms != onset_ms:  # NaN; compared, not ``math.isnan``, so an int past float range stays valid
+        raise ValueError(f"onset_ms must be a number, not {onset_ms}")
     cfg = trace.config
     column, times = trace.column(net), trace.times
     settled: float | None = None

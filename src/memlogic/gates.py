@@ -20,11 +20,11 @@ oxidation threshold; MNOT places the device in a resistive divider biased
 by a small constant source, so the output rail collapses as the device
 conducts.
 
-:meth:`GateInstance.run` is the one definition of a gate's drive, state
-loop and readout: it advances a device from a given state through a whole
-run of input samples and returns the final state with the series, and
-both the circuit engine and :meth:`GateInstance.step`, its one-step case,
-call it.  MOR and MAND read out an ohmic current, which
+:meth:`GateInstance.run` is the one definition of a gate's input rule,
+drive, state loop and readout: it advances a device from a given state
+through a whole run of input samples and returns the final state with the
+series, and both the circuit engine and :meth:`GateInstance.step`, its
+one-step case, call it.  MOR and MAND read out an ohmic current, which
 ``run`` converts to a node voltage through ``b``; MNOT reports a voltage
 directly, taken from the divider tap through an ideal buffer.
 """
@@ -129,7 +129,7 @@ def step(state: MemristorState, params: DeviceParams, v_applied: float, dt: floa
     unchanged, bit for bit.  This is the device spec: ``GateInstance.run``
     applies the same updates with the factors taken out of its step loop.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN too
         raise ValueError(f"dt must be positive, got {dt}")
     if v_applied >= params.v_ox:
         return MemristorState(
@@ -189,16 +189,11 @@ class GateInstance:
                                   f"({params.v_ox} V), or it potentiates the device on its own")
 
     def step(self, inputs: list[float], dt: float) -> float:
-        """Advance the gate one timestep and return its output: :meth:`run` over one step.
+        """Advance the gate one timestep and return its output: :meth:`run` over one step, which owns the input rule.
 
-        MOR/MAND return the output current in amperes (``b = 1.0`` leaves
-        the ohmic readout a current); MNOT returns the divider tap voltage
-        in volts.
+        MOR/MAND return the output current in amperes (``b = 1.0`` leaves the ohmic readout a current); MNOT returns
+        the divider tap voltage in volts.
         """
-        if len(inputs) != self.kind.arity:
-            raise ValueError(f"{self.kind.value} expects {self.kind.arity} input(s), got {len(inputs)}")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         volts, *_, self.state = self.run(self.state, [*zip(inputs)], dt, 1.0)
         return volts[0]
 
@@ -206,20 +201,25 @@ class GateInstance:
         """Advance a device from ``state`` through every step; return the gate's voltage, current, x1 and x2
         series, packed, its held runs and the device's final state.
 
-        ``sources`` are the drivers' voltage series, each constant over every ``(lo, hi)`` step range in
-        ``runs``; ``b`` converts the MOR/MAND output current to a node voltage.  The ranges must be non-empty,
-        ascending, disjoint and within the series, or ``ValueError`` names the first that is not.  A held run,
-        one whose drive lies strictly inside the hold window, repeats its first step in all four series, bit for
-        bit.  ``self.state`` is neither read nor written.  Loops run on lists, whose ``append`` is fastest; each
-        series is packed once.
+        ``sources`` are the drivers' voltage series, each constant over every ``(lo, hi)`` step range in ``runs``; ``b``
+        converts the MOR/MAND output current to a node voltage.  This is the one owner of a gate's input rule: a source
+        count other than the kind's arity, series of unequal length or a ``dt`` that is not positive is a ``ValueError``
+        before any step.  The ranges must be non-empty, ascending, disjoint and within the series, or ``ValueError``
+        names the first that is not.  A held run, one whose drive lies strictly inside the hold window, repeats its
+        first step in all four series, bit for bit.  ``self.state`` is neither read nor written.  Loops run on lists,
+        whose ``append`` is fastest; each series is packed once.
         """
-        p = self.params
-        if self.kind is _MOR:
+        p, kind = self.params, self.kind
+        if len(sources) != kind.arity:
+            raise ValueError(f"{kind.value} expects {kind.arity} input(s), got {len(sources)}")
+        if not dt > 0:  # NaN too
+            raise ValueError(f"dt must be positive, got {dt}")
+        if kind is _MOR:
             # The stronger input sets the drive, so two active inputs do not overdrive it; max()'s bits: u unless w > u.
-            drive = [w if w > u else u for u, w in zip(*sources)]
-        elif self.kind is _MAND:
+            drive = [w if w > u else u for u, w in zip(*sources, strict=True)]
+        elif kind is _MAND:
             # The summed inputs, halved by the divider.
-            drive = [(u + w) / 2.0 for u, w in zip(*sources)]
+            drive = [(u + w) / 2.0 for u, w in zip(*sources, strict=True)]
         else:
             # The summing stage adds the constant source to the input, so the
             # device switches once the input alone clears v_ox - v_con, while
@@ -258,7 +258,7 @@ class GateInstance:
         currents = [a1 * u + a2 * w + c for u, w in zip(x1s, x2s)]
         x1s = array("d", x1s)
         x2s = array("d", x2s)
-        if self.kind is _MNOT:
+        if kind is _MNOT:
             # Divider tap through the buffer; an insulating device counts as R_OFF_CAP.
             r12, v_rail, g_off = R1 + R2, V_RAIL, 1.0 / R_OFF_CAP
             volts = []

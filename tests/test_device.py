@@ -119,6 +119,8 @@ class TestStep:
             step(new_state(1.0), PARAMS, 0.6, 0.0)
         with pytest.raises(ValueError):
             step(new_state(1.0), PARAMS, 0.6, -1.0)
+        with pytest.raises(ValueError, match="^dt must be positive, got nan$"):
+            step(new_state(0.5), PARAMS, 0.3, math.nan)
 
 
 def test_iterated_step_matches_closed_form():

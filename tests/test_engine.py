@@ -171,6 +171,12 @@ class TestTrainedGates:
         assert states == {1: MemristorState(trace.column("g1_x1")[-1], trace.column("g1_x2")[-1])}
         assert states[1].x1 < 1.0
 
+    def test_final_states_of_a_trace_with_no_records_is_refused(self):
+        graph = build_full_adder()
+        names = ["t_ms", *(f"g{node.id}{part}" for node in graph.nodes for part in ("", "_I", "_x1", "_x2"))]
+        with pytest.raises(ValueError, match="^the trace has no records, so no gate has a final state$"):
+            final_states(Trace(SimConfig(), dict.fromkeys(names, ())), graph)
+
     def test_undeclared_gate_in_states_is_rejected(self):
         graph = parse_circuit(SINGLE_MOR)
         stim = parse_stimulus(stimulus("0..400=0.6", "0..400=0.1"))
@@ -472,6 +478,12 @@ class TestReadBinary:
             with pytest.raises(ValueError, match=rf"^t={t} ms is outside the recorded horizon$"):
                 read_binary(trace, "NET", t)
 
+    def test_an_int_time_past_float_range_is_out_of_range(self):
+        trace = synthetic_trace([0.0] * 10)
+        for t in (10**400, -10**400):
+            with pytest.raises(ValueError, match=rf"^t={t} ms is outside the recorded horizon$"):
+                read_binary(trace, "NET", t)
+
     def test_rethreshold_through_the_trace_config(self):
         trace = synthetic_trace([0.3] * 400)
         narrowed = trace._replace(config=trace.config._replace(threshold_low=0.2, threshold_high=0.29))
@@ -512,6 +524,15 @@ class TestSettleTime:
         with pytest.raises(ValueError, match=rf"^level must be 0, 1 or 'ambiguous', which a net can read; got "
                                              rf"{level!r}$"):
             settle_time(synthetic_trace([0.6] * 400), "NET", level)
+
+    def test_a_nan_onset_is_refused(self):
+        with pytest.raises(ValueError, match="^onset_ms must be a number, not nan$"):
+            settle_time(synthetic_trace([0.0] * 10), "NET", 0, onset_ms=math.nan)
+
+    def test_an_int_onset_past_float_range_is_compared_exactly(self):
+        trace = synthetic_trace([0.0] * 10)
+        assert settle_time(trace, "NET", 0, onset_ms=10**400) is None
+        assert settle_time(trace, "NET", 0, onset_ms=-10**400) == 1.0
 
     def test_levels_equal_to_a_readout_are_accepted(self):
         trace = synthetic_trace([0.6] * 400)

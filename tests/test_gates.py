@@ -1,10 +1,13 @@
 """Gate-level behaviour: drive combination, memory laws, inversion."""
 
+import math
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlogic.gates import (R1, R2, R_OFF_CAP, V_RAIL, DeviceParams, GateInstance, GateKind, MemristorState,
-                            model_current)
+                            model_current, new_state)
 
 from closed_form import closed_form_current
 
@@ -58,6 +61,27 @@ class TestArity:
     def test_step_rejects_non_positive_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             GateInstance(GateKind.MOR).step([0.6, 0.1], dt)
+
+
+class TestRunInputRule:
+    """``run``, which the engine and ``step`` both call, refuses a call that breaks the input rule before any step."""
+
+    @pytest.mark.parametrize("kind,count", [(GateKind.MNOT, 2), (GateKind.MOR, 1), (GateKind.MAND, 3)])
+    def test_a_source_count_other_than_the_arity(self, kind, count):
+        with pytest.raises(ValueError, match=rf"^{kind.value} expects {kind.arity} input\(s\), got {count}$"):
+            GateInstance(kind).run(new_state(), [array("d", [0.6])] * count, 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", [GateKind.MOR, GateKind.MAND])
+    @pytest.mark.parametrize("lengths", [(3, 1), (1, 3)])
+    def test_series_of_unequal_length(self, kind, lengths):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+            GateInstance(kind).run(new_state(), [array("d", [0.6] * n) for n in lengths], 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_non_positive_dt(self, kind, dt):
+        with pytest.raises(ValueError, match=rf"^dt must be positive, got {dt}$"):
+            GateInstance(kind).run(new_state(), [array("d", [0.6] * 3)] * kind.arity, dt, 1.0)
 
 
 class TestMor:
